@@ -18,15 +18,16 @@
 #      throughput gate itself runs under the Bench configuration);
 #   6. property sweep: the `prop` label re-runs at an elevated case
 #      count (the tier-1 pass already ran the defaults);
-#   7. ASan+UBSan build of the obs + fleet + persist + daemon + prop
-#      labels (the suites that exercise the telemetry rollup, flight
-#      recorders, the ingest path, the durable storage layer, the wire
-#      protocol, and the randomized codec/fold/engine properties —
-#      the garbage-decode properties are the UBSan workload for the
-#      bit-level kernels);
+#   7. ASan+UBSan build of the obs + fleet + persist + daemon + prop +
+#      tsdb labels (the suites that exercise the telemetry rollup,
+#      flight recorders, the ingest path, the durable storage layer, the
+#      wire protocol, the randomized codec/fold/engine properties, and
+#      the scan pipeline's read path — the garbage-decode properties
+#      are the UBSan workload for the bit-level kernels);
 #   8. TSan build of the same labels — the fleet suite's 8-worker
-#      byte-equality tests and the daemon suite's multi-client
-#      server/client runs double as its data-race workload.
+#      byte-equality tests, the daemon suite's multi-client
+#      server/client runs, and the tsdb suite's 4-thread query oracle
+#      double as its data-race workload.
 #
 # Usage: ci/check.sh [--tier1-only]
 # Build trees land in build/ (tier 1), build-asan/, and build-tsan/.
@@ -35,7 +36,7 @@ set -euo pipefail
 cd "$(dirname "$0")/.."
 
 JOBS="$(nproc 2>/dev/null || echo 4)"
-SANITIZED_LABELS='obs|fleet|persist|daemon|prop'
+SANITIZED_LABELS='obs|fleet|persist|daemon|prop|tsdb'
 # High-case-count sweep for the dedicated property pass; the sanitizer
 # passes keep the default counts so the matrix stays fast.
 PROP_SWEEP_CASES=2000

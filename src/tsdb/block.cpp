@@ -1,7 +1,6 @@
 #include "tsdb/block.hpp"
 
 #include <cmath>
-#include <cstring>
 
 #include "tsdb/simd.hpp"
 #include "tsdb/wire.hpp"
@@ -124,11 +123,6 @@ void Block::decode_subchunk_values(std::size_t chunk, double* out) const {
                                      value_chunk_offsets_[chunk], count, out);
 }
 
-void Block::decode_values_range(std::size_t begin, std::size_t end, double* out) const {
-  BlockValueCursor cursor(*this);
-  cursor.read(begin, end, out);
-}
-
 const double* BlockValueCursor::subchunk(std::size_t chunk) {
   if (!block_->compressed_) {
     return block_->raw_values_.data() + chunk * Block::kSubchunkRows;
@@ -138,19 +132,6 @@ const double* BlockValueCursor::subchunk(std::size_t chunk) {
     cached_chunk_ = chunk;
   }
   return buf_;
-}
-
-void BlockValueCursor::read(std::size_t begin, std::size_t end, double* out) {
-  while (begin < end) {
-    const std::size_t chunk = begin / Block::kSubchunkRows;
-    const std::size_t chunk_begin = chunk * Block::kSubchunkRows;
-    const std::size_t chunk_end = chunk_begin + block_->subchunk_rows(chunk);
-    const std::size_t stop = end < chunk_end ? end : chunk_end;
-    const double* src = subchunk(chunk);
-    std::memcpy(out, src + (begin - chunk_begin), (stop - begin) * sizeof(double));
-    out += stop - begin;
-    begin = stop;
-  }
 }
 
 void Block::encode_extent(std::vector<std::uint8_t>& out) const {

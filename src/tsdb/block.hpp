@@ -83,9 +83,6 @@ class Block {
   // Values of one subchunk only (bucket-boundary decode); writes
   // subchunk_rows(chunk) doubles to `out`.
   void decode_subchunk_values(std::size_t chunk, double* out) const;
-  // Rows [begin, end) of the value column — decodes only the subchunks
-  // the range touches (each once), not the whole column.
-  void decode_values_range(std::size_t begin, std::size_t end, double* out) const;
 
   // Heap bytes held (streams or raw columns, offsets, subchunk sums).
   [[nodiscard]] std::size_t bytes_used() const;
@@ -134,20 +131,14 @@ class Block {
 };
 
 // Value-column reader that decodes each subchunk at most once across
-// any sequence of row-range or per-subchunk reads.  Callers that walk a
-// block in row order — the parallel query executor's narrowed [a, e)
-// scan, downsample bucket edges that split a subchunk, cold
-// rematerialization — previously re-decoded from the subchunk head on
-// every mid-subchunk call; the cursor keeps the current subchunk's 16
-// decoded rows and serves repeat hits from memory.  On uncompressed
-// blocks it reads straight from the raw column, no copies.
+// any sequence of per-subchunk reads.  The query engine's scan cursor
+// reads every sealed block's values through it, one subchunk at a time
+// in row order; it keeps the current subchunk's 16 decoded rows so a
+// repeat hit is served from memory.  On uncompressed blocks it reads
+// straight from the raw column, no copies.
 class BlockValueCursor {
  public:
   explicit BlockValueCursor(const Block& block) : block_(&block) {}
-
-  // Copies rows [begin, end) of the value column into `out`
-  // (end <= block.rows()).
-  void read(std::size_t begin, std::size_t end, double* out);
 
   // The decoded rows of subchunk `chunk` (block.subchunk_rows(chunk)
   // doubles); valid until the next cursor call.

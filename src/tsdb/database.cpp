@@ -24,18 +24,6 @@ constexpr std::int64_t floor_div(std::int64_t a, std::int64_t b) {
   return (a % b != 0 && (a < 0) != (b < 0)) ? q - 1 : q;
 }
 
-double elapsed_ms_since(std::chrono::steady_clock::time_point t0) {
-  return std::chrono::duration<double, std::milli>(std::chrono::steady_clock::now() - t0)
-      .count();
-}
-
-// Per-thread decode buffers, reused across the blocks a worker scans.
-struct DecodeScratch {
-  std::vector<std::int64_t> ts;
-  std::vector<double> values;
-  std::vector<std::uint64_t> seq;
-};
-
 std::string wal_filename(std::uint32_t number) {
   char name[32];
   std::snprintf(name, sizeof(name), "wal-%06u.log", number);
@@ -122,7 +110,9 @@ EnvDatabase::EnvDatabase(DatabaseOptions options) : options_(options) {
         "Wall-clock seconds the last open() spent recovering durable state");
     decode_rows_metric_ = &registry.counter(
         "envmon_tsdb_decode_rows_total",
-        "Value rows decoded from sealed blocks by query/downsample/aggregate");
+        "Rows of sealed-block subchunks whose values query/downsample/aggregate "
+        "decoded (or copied from a raw block); summary-served subchunks and head "
+        "rows count 0");
     // Info gauge: constant 1, the label names the decode variant the
     // CPU probe (or ENVMON_SIMD) selected at startup.
     auto& dispatch_gauge = registry.gauge(
@@ -314,149 +304,197 @@ bool EnvDatabase::resolve_series(const QueryFilter& filter,
   return true;
 }
 
-void EnvDatabase::collect_parts(std::span<const std::uint32_t> sids,
-                                std::optional<std::int64_t> from_ns,
-                                std::optional<std::int64_t> to_ns,
-                                std::vector<ScanPart>& parts) const {
+EnvDatabase::ScanPlan EnvDatabase::plan_scan(const QueryFilter& filter) const {
+  ScanPlan plan;
+  if (filter.from) plan.from_ns = filter.from->ns();
+  if (filter.to) plan.to_ns = filter.to->ns();
+  std::vector<std::uint32_t> sids;
+  if (!resolve_series(filter, sids)) return plan;
   for (const std::uint32_t sid : sids) {
     const Series& s = series_[sid];
     for (std::size_t b = 0; b < s.block_count(); ++b) {
-      if (s.block_quarantined(b)) continue;  // corrupt extent: rows are gone
+      // The one quarantine skip: an extent that failed its checksum on
+      // an earlier read has no rows.  A block failing on this read
+      // makes PartCursor::open return false instead.
+      if (s.block_quarantined(b)) continue;
       const BlockSummary& sum = s.block_summary(b);
-      if (from_ns && sum.ts_max < *from_ns) continue;
-      if (to_ns && sum.ts_min > *to_ns) break;  // blocks are time-ordered
-      parts.push_back(ScanPart{sid, static_cast<std::int32_t>(b), sum.rows});
+      if (plan.from_ns && sum.ts_max < *plan.from_ns) continue;
+      if (plan.to_ns && sum.ts_min > *plan.to_ns) break;  // blocks are time-ordered
+      const bool covered = (!plan.from_ns || *plan.from_ns <= sum.ts_min) &&
+                           (!plan.to_ns || sum.ts_max <= *plan.to_ns);
+      plan.parts.push_back(ScanPart{sid, static_cast<std::int32_t>(b), sum.rows, covered});
     }
-    const Series::RowRange r = s.head_range(from_ns, to_ns);
-    if (r.size() > 0) parts.push_back(ScanPart{sid, -1, r.size()});
+    const Series::RowRange r = s.head_range(plan.from_ns, plan.to_ns);
+    if (r.size() > 0) plan.parts.push_back(ScanPart{sid, -1, r.size(), false});
   }
+  return plan;
 }
 
-void EnvDatabase::note_query(std::uint64_t rows_scanned, double elapsed_ms) const {
+// Reads one ScanPart.  Opening a sealed block materializes it (a cold
+// load when evicted), decodes its timestamps once and narrows them to
+// the window's rows; a head is read in place.  Row and subchunk indices
+// are relative to the part's first row, so a head is cut on the same
+// 16-row grid it will have once sealed and sealing never moves a fold.
+// The cursor is the only counter of rows_decoded: each subchunk() read
+// of a sealed block adds that subchunk's rows (database.hpp).  A cursor
+// belongs to one thread and reuses its buffers across the parts it opens.
+class EnvDatabase::PartCursor {
+ public:
+  static constexpr std::size_t kRows = Block::kSubchunkRows;
+
+  // False when no row of the part lies in the window, or when its block
+  // fails its checksum now (and is quarantined from then on).
+  bool open(const Series& series, const ScanPart& part, const ScanPlan& plan) {
+    series_ = &series;
+    block_ = nullptr;
+    seq_.clear();
+    if (part.block >= 0) {
+      block_ = series.block(static_cast<std::size_t>(part.block));
+      if (block_ == nullptr) return false;
+      block_->decode_timestamps(ts_);
+      values_.emplace(*block_);
+    }
+    rows_ = Series::rows_between(ts(), plan.from_ns, plan.to_ns);
+    return rows_.size() > 0;
+  }
+
+  // The window's rows [first, last) and every row's timestamp.
+  [[nodiscard]] Series::RowRange rows() const { return rows_; }
+  [[nodiscard]] std::span<const std::int64_t> ts() const {
+    return block_ == nullptr ? std::span(series_->head_ts()) : std::span(ts_);
+  }
+  // Every row's seq (a block decodes the column on first use).
+  [[nodiscard]] std::span<const std::uint64_t> seq() {
+    if (block_ == nullptr) return series_->head_seq();
+    if (seq_.empty()) block_->decode_seq(seq_);
+    return seq_;
+  }
+  // Subchunk c holds rows [c * kRows, subchunk_end(c)).
+  [[nodiscard]] std::size_t subchunk_end(std::size_t c) const {
+    return std::min((c + 1) * kRows, ts().size());
+  }
+  // Subchunk c's values; valid until the next call.
+  [[nodiscard]] const double* subchunk(std::size_t c) {
+    if (block_ == nullptr) return series_->head_values().data() + c * kRows;
+    rows_decoded_ += block_->subchunk_rows(c);
+    return values_->subchunk(c);
+  }
+  // Subchunk c's seal-time sum; a head has none.
+  [[nodiscard]] std::optional<double> subchunk_sum(std::size_t c) const {
+    if (block_ == nullptr) return std::nullopt;
+    return block_->subchunk_sum(c);
+  }
+  // The subchunk walk: fn(c, lo, hi) for each subchunk c the window
+  // touches, in row order, with [lo, hi) its rows inside the window.
+  template <class Fn>
+  void for_each_subchunk(Fn&& fn) {
+    for (std::size_t c = rows_.first / kRows; c * kRows < rows_.last; ++c) {
+      fn(c, std::max(c * kRows, rows_.first), std::min(subchunk_end(c), rows_.last));
+    }
+  }
+  [[nodiscard]] std::uint64_t rows_decoded() const { return rows_decoded_; }
+
+ private:
+  const Series* series_ = nullptr;
+  const Block* block_ = nullptr;
+  std::optional<BlockValueCursor> values_;
+  std::vector<std::int64_t> ts_;  // a block's decoded timestamps
+  std::vector<std::uint64_t> seq_;
+  Series::RowRange rows_;
+  std::uint64_t rows_decoded_ = 0;
+};
+
+void EnvDatabase::note_query(std::chrono::steady_clock::time_point t0,
+                             const ScanCounts& counts) const {
   ++stats_.queries;
-  stats_.rows_scanned += rows_scanned;
-  if (query_latency_metric_ != nullptr) query_latency_metric_->observe(elapsed_ms);
+  stats_.rows_scanned += counts.rows_scanned;
+  stats_.rows_decoded += counts.rows_decoded;
+  stats_.pushdown_rows += counts.pushdown_rows;
+  stats_.pushdown_chunks += counts.pushdown_chunks;
+  if (decode_rows_metric_ != nullptr && counts.rows_decoded > 0) {
+    decode_rows_metric_->inc(counts.rows_decoded);
+  }
+  if (pushdown_metric_ != nullptr && counts.pushdown_chunks > 0) {
+    pushdown_metric_->inc(counts.pushdown_chunks);
+  }
+  if (query_latency_metric_ != nullptr) {
+    query_latency_metric_->observe(
+        std::chrono::duration<double, std::milli>(std::chrono::steady_clock::now() - t0)
+            .count());
+  }
   if (rows_scanned_metric_ != nullptr) {
-    rows_scanned_metric_->observe(static_cast<double>(rows_scanned));
+    rows_scanned_metric_->observe(static_cast<double>(counts.rows_scanned));
   }
 }
 
 std::vector<Record> EnvDatabase::query(const QueryFilter& filter) const {
   const auto t0 = std::chrono::steady_clock::now();
-  std::vector<Record> out;
-  std::vector<std::uint32_t> sids;
-  if (!resolve_series(filter, sids)) {
-    note_query(0, elapsed_ms_since(t0));
-    return out;
-  }
-  std::optional<std::int64_t> from_ns, to_ns;
-  if (filter.from) from_ns = filter.from->ns();
-  if (filter.to) to_ns = filter.to->ns();
-
-  std::vector<ScanPart> parts;
-  collect_parts(sids, from_ns, to_ns, parts);
-  if (parts.empty()) {
-    note_query(0, elapsed_ms_since(t0));
-    return out;
-  }
+  const ScanPlan plan = plan_scan(filter);
+  const std::vector<ScanPart>& parts = plan.parts;
   std::size_t est = 0;
   for (const ScanPart& p : parts) est += p.est_rows;
 
-  // Decode-and-filter fans out over parts; each part writes its own
-  // output slot, so workers share nothing mutable.  The final merge
-  // sorts on the globally unique insertion sequence, which makes the
-  // result byte-identical at any thread count (and identical to the
-  // flat timestamp-ordered scan, since inserts are time-ordered).
-  std::vector<std::vector<DecodedRow>> slots(parts.size());
-  std::vector<std::uint64_t> decoded(parts.size(), 0);
-  const auto scan_part = [&](std::size_t pi, DecodeScratch& scratch) {
-    const ScanPart& part = parts[pi];
-    const Series& s = series_[part.sid];
-    std::vector<DecodedRow>& rows = slots[pi];
-    if (part.block < 0) {
-      const Series::RowRange r = s.head_range(from_ns, to_ns);
-      rows.reserve(r.size());
-      for (std::size_t i = r.first; i < r.last; ++i) {
-        rows.push_back(DecodedRow{s.head_seq()[i], s.head_ts()[i], s.head_values()[i],
-                                  part.sid});
-      }
-      return;
-    }
-    const Block* bp = s.block(static_cast<std::size_t>(part.block));
-    if (bp == nullptr) return;  // quarantined at materialization: skip
-    const Block& b = *bp;
-    b.decode_timestamps(scratch.ts);
-    std::size_t a = 0;
-    std::size_t e = scratch.ts.size();
-    if (from_ns) {
-      a = static_cast<std::size_t>(std::distance(
-          scratch.ts.begin(),
-          std::lower_bound(scratch.ts.begin(), scratch.ts.end(), *from_ns)));
-    }
-    if (to_ns) {
-      e = static_cast<std::size_t>(std::distance(
-          scratch.ts.begin(),
-          std::upper_bound(scratch.ts.begin(), scratch.ts.end(), *to_ns)));
-    }
-    if (a >= e) return;
-    // Values decode only the subchunks [a, e) touches (cursor path);
-    // seq is a single serial delta-of-delta stream, so it decodes whole.
-    b.decode_seq(scratch.seq);
-    scratch.values.resize(e - a);
-    b.decode_values_range(a, e, scratch.values.data());
-    decoded[pi] = b.rows();
-    rows.reserve(e - a);
-    for (std::size_t i = a; i < e; ++i) {
-      rows.push_back(
-          DecodedRow{scratch.seq[i], scratch.ts[i], scratch.values[i - a], part.sid});
-    }
-  };
-
+  // Materialize sink.  Parts fan out over workers; each part writes its
+  // own output slot and each worker reads through its own cursor, so
+  // workers share nothing mutable.  The final merge sorts on the
+  // globally unique insertion sequence, which makes the result
+  // byte-identical at any thread count (and identical to the flat
+  // timestamp-ordered scan, since inserts are time-ordered).
   std::size_t workers = 1;
   if (options_.query_threads > 1 && parts.size() > 1 &&
       est >= options_.parallel_query_min_rows) {
     workers = std::min(options_.query_threads, parts.size());
   }
-  if (workers <= 1) {
-    DecodeScratch scratch;
-    for (std::size_t pi = 0; pi < parts.size(); ++pi) scan_part(pi, scratch);
+  std::vector<std::vector<DecodedRow>> slots(parts.size());
+  std::vector<PartCursor> cursors(workers);
+  const auto scan_part = [&](std::size_t pi, PartCursor& cursor) {
+    const ScanPart& part = parts[pi];
+    if (!cursor.open(series_[part.sid], part, plan)) return;
+    std::vector<DecodedRow>& rows = slots[pi];
+    rows.reserve(cursor.rows().size());
+    const std::span<const std::uint64_t> seq = cursor.seq();
+    const std::span<const std::int64_t> ts = cursor.ts();
+    cursor.for_each_subchunk([&](std::size_t c, std::size_t lo, std::size_t hi) {
+      const double* values = cursor.subchunk(c);
+      for (std::size_t i = lo; i < hi; ++i) {
+        rows.push_back(DecodedRow{seq[i], ts[i], values[i - c * PartCursor::kRows], part.sid});
+      }
+    });
+  };
+  if (workers == 1) {
+    for (std::size_t pi = 0; pi < parts.size(); ++pi) scan_part(pi, cursors[0]);
   } else {
     std::atomic<std::size_t> next{0};
     std::vector<std::thread> pool;
     pool.reserve(workers);
     for (std::size_t w = 0; w < workers; ++w) {
-      pool.emplace_back([&] {
-        DecodeScratch scratch;
+      pool.emplace_back([&, w] {
         for (std::size_t pi = next.fetch_add(1, std::memory_order_relaxed);
              pi < parts.size(); pi = next.fetch_add(1, std::memory_order_relaxed)) {
-          scan_part(pi, scratch);
+          scan_part(pi, cursors[w]);
         }
       });
     }
     for (std::thread& t : pool) t.join();
   }
 
-  std::size_t total = 0;
-  for (const auto& slot : slots) total += slot.size();
+  ScanCounts counts;
+  for (const PartCursor& cursor : cursors) counts.rows_decoded += cursor.rows_decoded();
+  for (const auto& slot : slots) counts.rows_scanned += slot.size();
   std::vector<DecodedRow> rows;
-  rows.reserve(total);
+  rows.reserve(counts.rows_scanned);
   for (const auto& slot : slots) rows.insert(rows.end(), slot.begin(), slot.end());
   std::sort(rows.begin(), rows.end(),
             [](const DecodedRow& a, const DecodedRow& b) { return a.seq < b.seq; });
 
-  out.reserve(total);
+  std::vector<Record> out;
+  out.reserve(rows.size());
   for (const DecodedRow& r : rows) {
     const Series& s = series_[r.sid];
     out.push_back(Record{sim::SimTime::from_ns(r.ts_ns), s.location(),
                          metrics_.name(s.metric()), r.value});
   }
-  std::uint64_t decoded_total = 0;
-  for (const std::uint64_t d : decoded) decoded_total += d;
-  stats_.rows_decoded += decoded_total;
-  if (decode_rows_metric_ != nullptr && decoded_total > 0) {
-    decode_rows_metric_->inc(decoded_total);
-  }
-  note_query(total, elapsed_ms_since(t0));
+  note_query(t0, counts);
   return out;
 }
 
@@ -485,8 +523,8 @@ std::vector<EnvDatabase::Bucket> EnvDatabase::downsample(const QueryFilter& filt
       cacheable = false;  // unknown metric: empty result, not worth a slot
     }
   }
-  if (filter.from) key.from_ns = filter.from->ns();
-  if (filter.to) key.to_ns = filter.to->ns();
+  key.from = filter.from;
+  key.to = filter.to;
   key.width_ns = bucket_width.ns();
 
   if (cacheable) {
@@ -494,79 +532,56 @@ std::vector<EnvDatabase::Bucket> EnvDatabase::downsample(const QueryFilter& filt
       it->second.last_used = ++cache_tick_;
       ++stats_.cache_hits;
       if (cache_hits_metric_ != nullptr) cache_hits_metric_->inc();
-      note_query(0, elapsed_ms_since(t0));
+      note_query(t0, {});
       return it->second.buckets;
     }
     ++stats_.cache_misses;
     if (cache_misses_metric_ != nullptr) cache_misses_metric_->inc();
   }
 
-  std::vector<std::uint32_t> sids;
-  if (!resolve_series(filter, sids)) {
-    note_query(0, elapsed_ms_since(t0));
-    return buckets;
-  }
-  std::optional<std::int64_t> from_ns, to_ns;
-  if (filter.from) from_ns = filter.from->ns();
-  if (filter.to) to_ns = filter.to->ns();
-  const std::int64_t w = bucket_width.ns();
-
-  // Bucket sums are accumulated at subchunk granularity: every part's
-  // rows are cut on the same 16-row grid the sealed blocks use, each
-  // (subchunk ∩ bucket) run folded by the canonical grammar (simd.hpp:
-  // the 4-lane tree for a full 16-row subchunk, left-to-right for
-  // shorter runs), and the partials added in deterministic (series,
-  // part, subchunk) order.  A subchunk that lies fully inside one
-  // bucket contributes exactly its seal-time sum, so taking the
-  // precomputed sum (pushdown) — or decoding it — or hitting the same
-  // rows pre-seal in the head — yields bit-identical buckets.
+  // Bucket fold sink.  Bucket sums are accumulated at subchunk
+  // granularity: every part's rows are cut on the same 16-row grid the
+  // sealed blocks use, each (subchunk ∩ bucket) run folded by the
+  // canonical grammar (simd.hpp: the 4-lane tree for a full 16-row
+  // subchunk, left-to-right for shorter runs), and the partials added in
+  // deterministic (series, part, subchunk) order.  A subchunk that lies
+  // fully inside one bucket contributes exactly its seal-time sum, so
+  // taking the precomputed sum (pushdown) — or decoding it — or hitting
+  // the same rows pre-seal in the head — yields bit-identical buckets.
   struct Acc {
     double sum = 0.0;
     std::size_t count = 0;
   };
   std::map<std::int64_t, Acc> acc;
-  std::uint64_t aggregated = 0;
-  std::uint64_t decoded = 0;
-  std::uint64_t pushdown_rows = 0;
-  std::uint64_t pushdown_chunks = 0;
-  std::vector<std::int64_t> ts_scratch;
+  ScanCounts counts;
+  const std::int64_t w = bucket_width.ns();
   const auto& kernels = simd::active();
-
-  // Folds value rows [a, e) into the bucket accumulators.  `ts` has one
-  // entry per row; `chunk_at` returns the decoded rows of one subchunk
-  // (a BlockValueCursor for sealed blocks — each subchunk decodes at
-  // most once even when several buckets split it — or the head column
-  // directly).  A subchunk fully inside both the range and one bucket
-  // is served from `whole_sum` when the caller has a precomputed sum
-  // (pushdown), else from the canonical fold of its decoded rows —
-  // the same bits either way.
-  const auto fold_grid = [&](std::span<const std::int64_t> ts, std::size_t a, std::size_t e,
-                             bool counts_decoded, auto&& chunk_at, auto&& whole_sum) {
-    for (std::size_t c = a / Block::kSubchunkRows; c * Block::kSubchunkRows < e; ++c) {
-      const std::size_t cb = c * Block::kSubchunkRows;
-      const std::size_t ce = std::min(cb + Block::kSubchunkRows, ts.size());
-      const std::size_t lo = std::max(cb, a);
-      const std::size_t hi = std::min(ce, e);
-      if (lo >= hi) continue;
+  const ScanPlan plan = plan_scan(filter);
+  PartCursor cursor;
+  for (const ScanPart& part : plan.parts) {
+    if (!cursor.open(series_[part.sid], part, plan)) continue;
+    const std::span<const std::int64_t> ts = cursor.ts();
+    cursor.for_each_subchunk([&](std::size_t c, std::size_t lo, std::size_t hi) {
+      const std::size_t cb = c * PartCursor::kRows;
+      const std::size_t ce = cursor.subchunk_end(c);
       if (lo == cb && hi == ce) {
         const std::int64_t b0 = floor_div(ts[cb], w);
         if (floor_div(ts[ce - 1], w) == b0) {
           Acc& slot = acc[b0];
-          if (const std::optional<double> sum = whole_sum(c)) {
+          if (const std::optional<double> sum = cursor.subchunk_sum(c);
+              sum && options_.aggregation_pushdown) {
             slot.sum += *sum;
-            pushdown_rows += ce - cb;
-            ++pushdown_chunks;
+            counts.pushdown_rows += ce - cb;
+            ++counts.pushdown_chunks;
           } else {
-            slot.sum += kernels.sum_subchunk(chunk_at(c), ce - cb);
-            if (counts_decoded) decoded += ce - cb;
+            slot.sum += kernels.sum_subchunk(cursor.subchunk(c), ce - cb);
           }
           slot.count += ce - cb;
-          aggregated += ce - cb;
-          continue;
+          counts.rows_scanned += ce - cb;
+          return;
         }
       }
-      const double* chunk = chunk_at(c);
-      if (counts_decoded) decoded += ce - cb;
+      const double* chunk = cursor.subchunk(c);
       std::size_t r = lo;
       while (r < hi) {
         const std::int64_t bidx = floor_div(ts[r], w);
@@ -579,69 +594,17 @@ std::vector<EnvDatabase::Bucket> EnvDatabase::downsample(const QueryFilter& filt
         Acc& slot = acc[bidx];
         slot.sum += partial;
         slot.count += r - start;
-        aggregated += r - start;
+        counts.rows_scanned += r - start;
       }
-    }
-  };
-
-  for (const std::uint32_t sid : sids) {
-    const Series& s = series_[sid];
-    for (std::size_t b = 0; b < s.block_count(); ++b) {
-      const BlockSummary& sum = s.block_summary(b);
-      if (from_ns && sum.ts_max < *from_ns) continue;
-      if (to_ns && sum.ts_min > *to_ns) break;
-      const Block* bp = s.block(b);
-      if (bp == nullptr) continue;  // quarantined: rows are gone
-      const Block& block = *bp;
-      block.decode_timestamps(ts_scratch);
-      std::size_t a = 0;
-      std::size_t e = ts_scratch.size();
-      if (from_ns) {
-        a = static_cast<std::size_t>(std::distance(
-            ts_scratch.begin(),
-            std::lower_bound(ts_scratch.begin(), ts_scratch.end(), *from_ns)));
-      }
-      if (to_ns) {
-        e = static_cast<std::size_t>(std::distance(
-            ts_scratch.begin(),
-            std::upper_bound(ts_scratch.begin(), ts_scratch.end(), *to_ns)));
-      }
-      if (a < e) {
-        BlockValueCursor cursor(block);
-        fold_grid(
-            ts_scratch, a, e, /*counts_decoded=*/true,
-            [&](std::size_t c) { return cursor.subchunk(c); },
-            [&](std::size_t c) -> std::optional<double> {
-              if (!options_.aggregation_pushdown) return std::nullopt;
-              return block.subchunk_sum(c);
-            });
-      }
-    }
-    const Series::RowRange r = s.head_range(from_ns, to_ns);
-    if (r.size() > 0) {
-      // The head uses the same grid it will have once sealed (row index
-      // relative to the head start), so sealing never moves a bucket sum.
-      const std::vector<double>& head_values = s.head_values();
-      fold_grid(
-          s.head_ts(), r.first, r.last, /*counts_decoded=*/false,
-          [&](std::size_t c) { return head_values.data() + c * Block::kSubchunkRows; },
-          [](std::size_t) -> std::optional<double> { return std::nullopt; });
-    }
+    });
   }
+  counts.rows_decoded = cursor.rows_decoded();
 
   buckets.reserve(acc.size());
   for (const auto& [idx, a] : acc) {
     buckets.push_back(
         Bucket{sim::SimTime::from_ns(idx * w), a.sum / static_cast<double>(a.count), a.count});
   }
-  stats_.rows_decoded += decoded;
-  stats_.pushdown_rows += pushdown_rows;
-  stats_.pushdown_chunks += pushdown_chunks;
-  if (pushdown_metric_ != nullptr && pushdown_chunks > 0) {
-    pushdown_metric_->inc(pushdown_chunks);
-  }
-  if (decode_rows_metric_ != nullptr && decoded > 0) decode_rows_metric_->inc(decoded);
-
   if (cacheable) {
     downsample_cache_[key] = CacheEntry{buckets, ++cache_tick_};
     while (downsample_cache_.size() > options_.downsample_cache_capacity) {
@@ -652,34 +615,21 @@ std::vector<EnvDatabase::Bucket> EnvDatabase::downsample(const QueryFilter& filt
       downsample_cache_.erase(victim);
     }
   }
-  note_query(aggregated, elapsed_ms_since(t0));
+  note_query(t0, counts);
   return buckets;
 }
 
 EnvDatabase::Aggregate EnvDatabase::aggregate(const QueryFilter& filter) const {
   const auto t0 = std::chrono::steady_clock::now();
-  Aggregate agg;
-  std::vector<std::uint32_t> sids;
-  if (!resolve_series(filter, sids)) {
-    note_query(0, elapsed_ms_since(t0));
-    return agg;
-  }
-  std::optional<std::int64_t> from_ns, to_ns;
-  if (filter.from) from_ns = filter.from->ns();
-  if (filter.to) to_ns = filter.to->ns();
-
-  // Sums are grouped per part (one sealed block's covered range, or the
-  // head range): each part contributes a canonical range fold —
-  // per-subchunk folds on the part's 16-row grid, combined
+  // Range fold sink.  Sums are grouped per part (one sealed block's
+  // covered range, or the head range): each part contributes a canonical
+  // range fold — per-subchunk folds on the part's 16-row grid, combined
   // left-to-right (simd::FoldCombine) — so a fully covered block's fold
   // is bit-for-bit its seal-time summary, and serving it from the
   // summary (pushdown) is bit-identical to decoding it.
+  Aggregate agg;
   bool any_finite = false;
-  std::uint64_t decoded = 0;
-  std::uint64_t pushdown_rows = 0;
-  std::uint64_t pushdown_chunks = 0;
-  std::vector<std::int64_t> ts_scratch;
-  const auto& kernels = simd::active();
+  ScanCounts counts;
   const auto apply_part = [&](const simd::SubchunkFold& part, std::uint64_t nrows) {
     agg.count += nrows;
     agg.sum += part.sum;
@@ -690,89 +640,38 @@ EnvDatabase::Aggregate EnvDatabase::aggregate(const QueryFilter& filter) const {
       any_finite = true;
     }
   };
-  // Canonical fold of rows [a, e) over a part's 16-row grid; `chunk_at`
-  // returns the decoded rows of subchunk c (cursor or head column).
-  const auto fold_range = [&](std::size_t total, std::size_t a, std::size_t e,
-                              auto&& chunk_at) {
-    simd::FoldCombine combine;
-    for (std::size_t c = a / Block::kSubchunkRows; c * Block::kSubchunkRows < e; ++c) {
-      const std::size_t cb = c * Block::kSubchunkRows;
-      const std::size_t ce = std::min(cb + Block::kSubchunkRows, total);
-      const std::size_t lo = std::max(cb, a);
-      const std::size_t hi = std::min(ce, e);
-      if (lo >= hi) continue;
+  const auto& kernels = simd::active();
+  const ScanPlan plan = plan_scan(filter);
+  PartCursor cursor;
+  for (const ScanPart& part : plan.parts) {
+    // A fully covered block is served from its summary without ever
+    // materializing it — evicted blocks aggregate without disk reads.
+    if (part.covered && options_.aggregation_pushdown) {
+      const BlockSummary& sum =
+          series_[part.sid].block_summary(static_cast<std::size_t>(part.block));
       simd::SubchunkFold fold;
-      kernels.fold_subchunk(chunk_at(c) + (lo - cb), hi - lo, fold);
+      fold.sum = sum.value_sum;
+      fold.sum_sq = sum.value_sum_sq;
+      fold.min = sum.value_min;
+      fold.max = sum.value_max;
+      fold.finite = sum.finite_rows;
+      apply_part(fold, sum.rows);
+      counts.pushdown_rows += sum.rows;
+      ++counts.pushdown_chunks;
+      continue;
+    }
+    if (!cursor.open(series_[part.sid], part, plan)) continue;
+    simd::FoldCombine combine;
+    cursor.for_each_subchunk([&](std::size_t c, std::size_t lo, std::size_t hi) {
+      simd::SubchunkFold fold;
+      kernels.fold_subchunk(cursor.subchunk(c) + (lo - c * PartCursor::kRows), hi - lo, fold);
       combine.add(fold);
-    }
-    apply_part(combine.finish(), e - a);
-  };
-
-  for (const std::uint32_t sid : sids) {
-    const Series& s = series_[sid];
-    for (std::size_t b = 0; b < s.block_count(); ++b) {
-      if (s.block_quarantined(b)) continue;  // corrupt extent: rows are gone
-      const BlockSummary& sum = s.block_summary(b);
-      if (from_ns && sum.ts_max < *from_ns) continue;
-      if (to_ns && sum.ts_min > *to_ns) break;
-      // A fully covered block is served from its summary without ever
-      // materializing it — evicted blocks aggregate without disk reads.
-      const bool covered = (!from_ns || *from_ns <= sum.ts_min) &&
-                           (!to_ns || sum.ts_max <= *to_ns);
-      if (covered && options_.aggregation_pushdown) {
-        simd::SubchunkFold part;
-        part.sum = sum.value_sum;
-        part.sum_sq = sum.value_sum_sq;
-        part.min = sum.value_min;
-        part.max = sum.value_max;
-        part.finite = sum.finite_rows;
-        apply_part(part, sum.rows);
-        pushdown_rows += sum.rows;
-        ++pushdown_chunks;
-        continue;
-      }
-      const Block* bp = s.block(b);
-      if (bp == nullptr) continue;  // quarantined at materialization: skip
-      const Block& block = *bp;
-      block.decode_timestamps(ts_scratch);
-      std::size_t a = 0;
-      std::size_t e = ts_scratch.size();
-      if (from_ns) {
-        a = static_cast<std::size_t>(std::distance(
-            ts_scratch.begin(),
-            std::lower_bound(ts_scratch.begin(), ts_scratch.end(), *from_ns)));
-      }
-      if (to_ns) {
-        e = static_cast<std::size_t>(std::distance(
-            ts_scratch.begin(),
-            std::upper_bound(ts_scratch.begin(), ts_scratch.end(), *to_ns)));
-      }
-      if (a >= e) continue;
-      BlockValueCursor cursor(block);
-      const std::size_t chunk_lo = a / Block::kSubchunkRows;
-      const std::size_t chunk_hi = (e + Block::kSubchunkRows - 1) / Block::kSubchunkRows;
-      decoded += std::min<std::size_t>(chunk_hi * Block::kSubchunkRows, block.rows()) -
-                 chunk_lo * Block::kSubchunkRows;
-      fold_range(ts_scratch.size(), a, e,
-                 [&](std::size_t c) { return cursor.subchunk(c); });
-    }
-    const Series::RowRange r = s.head_range(from_ns, to_ns);
-    if (r.size() > 0) {
-      const std::vector<double>& head_values = s.head_values();
-      fold_range(head_values.size(), r.first, r.last, [&](std::size_t c) {
-        return head_values.data() + c * Block::kSubchunkRows;
-      });
-    }
+    });
+    apply_part(combine.finish(), cursor.rows().size());
   }
-
-  stats_.rows_decoded += decoded;
-  stats_.pushdown_rows += pushdown_rows;
-  stats_.pushdown_chunks += pushdown_chunks;
-  if (pushdown_metric_ != nullptr && pushdown_chunks > 0) {
-    pushdown_metric_->inc(pushdown_chunks);
-  }
-  if (decode_rows_metric_ != nullptr && decoded > 0) decode_rows_metric_->inc(decoded);
-  note_query(agg.count, elapsed_ms_since(t0));
+  counts.rows_scanned = agg.count;
+  counts.rows_decoded = cursor.rows_decoded();
+  note_query(t0, counts);
   return agg;
 }
 

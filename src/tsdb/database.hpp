@@ -18,21 +18,29 @@
 // codecs (block.hpp, codec.hpp) — delta-of-delta timestamps and seq,
 // XOR doubles — cut into 16-row subchunks with precomputed partial sums.
 //
-// query() resolves candidate series through the tree in O(matching
-// series), prunes sealed blocks by summary, fans decode-and-filter over
-// blocks across a small worker pool (query_threads), and merges on the
-// global insertion sequence — results are byte-identical to a flat
-// timestamp-ordered scan at any thread count.  downsample() and
-// aggregate() push down to block/subchunk summaries: a bucket that fully
-// covers a subchunk takes its precomputed sum without decoding values
-// (aggregation pushdown), and only bucket-boundary subchunks decode.
-// Aggregation is defined at subchunk granularity (DESIGN.md §10), which
-// makes the pushdown, full-decode, compressed, and raw paths produce
-// bit-identical results.  Downsample results are memoized in a small LRU
-// cache keyed by (filter, bucket width), invalidated by any mutation —
-// including retention drops.
+// query(), downsample() and aggregate() run one scan pipeline, plan →
+// cursor → sink (DESIGN.md §10).  The plan resolves candidate series
+// through the tree in O(matching series) and lists the sealed blocks
+// that survive summary pruning and are not quarantined, then the head.
+// A part cursor opens one of them: it materializes a block, decodes its
+// timestamps once and narrows to the window's rows (a head is read in
+// place), then serves timestamps, seq, and values by 16-row subchunk.
+// The sinks: query() materializes rows, fanning parts over a small
+// worker pool (query_threads) and merging on the global insertion
+// sequence — byte-identical to a flat timestamp-ordered scan at any
+// thread count; downsample() folds subchunks into buckets, taking a
+// subchunk a bucket fully covers from its precomputed sum (aggregation
+// pushdown); aggregate() takes a block the window fully covers from its
+// summary before opening any part — it trusts the summary, so it neither
+// loads nor quarantines an evicted block it fully covers.  Aggregation
+// is defined at subchunk granularity (DESIGN.md §10), which makes the
+// pushdown, full-decode, compressed, and raw paths bit-identical.
+// Downsample results are memoized in a small LRU cache keyed by
+// (filter, bucket width), invalidated by any mutation — including
+// retention drops.
 
 #include <array>
+#include <chrono>
 #include <cstddef>
 #include <cstdint>
 #include <deque>
@@ -280,7 +288,11 @@ class EnvDatabase {
   struct QueryStats {
     std::uint64_t queries = 0;         // query() + downsample() + aggregate() calls
     std::uint64_t rows_scanned = 0;    // rows matched after index + time narrowing
-    std::uint64_t rows_decoded = 0;    // value-column rows actually decoded
+    // Rows of sealed-block subchunks whose value column a read
+    // decoded (or copied, from a raw block).  Subchunks served from a
+    // summary and head rows count 0; a subchunk counts its full rows
+    // even when the window covers part of it.
+    std::uint64_t rows_decoded = 0;
     std::uint64_t series_touched = 0;  // candidate series resolved by the index
     std::uint64_t cache_hits = 0;      // downsample results served from cache
     std::uint64_t cache_misses = 0;
@@ -303,7 +315,7 @@ class EnvDatabase {
     std::array<int, 4> prefix{-1, -1, -1, -1};  // rack/midplane/board/card
     bool has_prefix = false;
     std::optional<MetricId> metric;
-    std::optional<std::int64_t> from_ns, to_ns;
+    std::optional<sim::SimTime> from, to;
     std::int64_t width_ns = 0;
     friend auto operator<=>(const DownsampleKey&, const DownsampleKey&) = default;
   };
@@ -311,12 +323,26 @@ class EnvDatabase {
     std::vector<Bucket> buckets;
     std::uint64_t last_used = 0;
   };
-  // One unit of decode work for the query executor: a sealed block of
-  // one series, or its head (block < 0).
+  // One part of a scan: a sealed block of one series, or its head
+  // (block < 0).
   struct ScanPart {
     std::uint32_t sid = 0;
     std::int32_t block = -1;
-    std::size_t est_rows = 0;
+    std::size_t est_rows = 0;  // block rows, or head rows in the window
+    bool covered = false;      // block lies wholly inside the window
+  };
+  // A read's window and its parts, in (series, block, head) order.
+  struct ScanPlan {
+    std::optional<std::int64_t> from_ns, to_ns;
+    std::vector<ScanPart> parts;
+  };
+  class PartCursor;
+  // What one read did, folded into stats_ and the metrics by note_query.
+  struct ScanCounts {
+    std::uint64_t rows_scanned = 0;
+    std::uint64_t rows_decoded = 0;  // summed from PartCursor only
+    std::uint64_t pushdown_rows = 0;
+    std::uint64_t pushdown_chunks = 0;
   };
   struct DecodedRow {
     std::uint64_t seq = 0;
@@ -375,9 +401,10 @@ class EnvDatabase {
   // Candidate series ids for a filter, in deterministic index order;
   // false when the filter names a metric that was never ingested.
   bool resolve_series(const QueryFilter& filter, std::vector<std::uint32_t>& sids) const;
-  void collect_parts(std::span<const std::uint32_t> sids, std::optional<std::int64_t> from_ns,
-                     std::optional<std::int64_t> to_ns, std::vector<ScanPart>& parts) const;
-  void note_query(std::uint64_t rows_scanned, double elapsed_ms) const;
+  // Resolves the filter's series and lists their unpruned parts (empty
+  // when the metric was never ingested).
+  [[nodiscard]] ScanPlan plan_scan(const QueryFilter& filter) const;
+  void note_query(std::chrono::steady_clock::time_point t0, const ScanCounts& counts) const;
   void note_seal(std::size_t blocks);
   void update_footprint_metrics();
 

@@ -214,16 +214,17 @@ std::size_t Series::drop_before(std::int64_t cutoff_ns) {
   return dropped;
 }
 
-Series::RowRange Series::head_range(std::optional<std::int64_t> from_ns,
-                                    std::optional<std::int64_t> to_ns) const {
-  RowRange r{0, head_ts_.size()};
+Series::RowRange Series::rows_between(std::span<const std::int64_t> ts,
+                                      std::optional<std::int64_t> from_ns,
+                                      std::optional<std::int64_t> to_ns) {
+  RowRange r{0, ts.size()};
   if (from_ns) {
-    r.first = static_cast<std::size_t>(std::distance(
-        head_ts_.begin(), std::lower_bound(head_ts_.begin(), head_ts_.end(), *from_ns)));
+    r.first = static_cast<std::size_t>(
+        std::distance(ts.begin(), std::lower_bound(ts.begin(), ts.end(), *from_ns)));
   }
   if (to_ns) {
-    r.last = static_cast<std::size_t>(std::distance(
-        head_ts_.begin(), std::upper_bound(head_ts_.begin(), head_ts_.end(), *to_ns)));
+    r.last = static_cast<std::size_t>(
+        std::distance(ts.begin(), std::upper_bound(ts.begin(), ts.end(), *to_ns)));
   }
   if (r.last < r.first) r.last = r.first;
   return r;

@@ -28,6 +28,7 @@
 #include <cstdint>
 #include <memory>
 #include <optional>
+#include <span>
 #include <vector>
 
 #include "tsdb/block.hpp"
@@ -129,15 +130,22 @@ class Series {
   [[nodiscard]] const std::vector<double>& head_values() const { return head_values_; }
   [[nodiscard]] const std::vector<std::uint64_t>& head_seq() const { return head_seq_; }
 
-  // Head index range [first, last) with from <= ts <= to (either bound
-  // optional).  Binary search: O(log head rows).
+  // Index range [first, last) of the ascending `ts` with from <= ts <= to
+  // (either bound optional; empty when from > to).  Binary search:
+  // O(log rows).  The query engine narrows heads and decoded sealed
+  // blocks with it alike.
   struct RowRange {
     std::size_t first = 0;
     std::size_t last = 0;
     [[nodiscard]] std::size_t size() const { return last - first; }
   };
+  [[nodiscard]] static RowRange rows_between(std::span<const std::int64_t> ts,
+                                             std::optional<std::int64_t> from_ns,
+                                             std::optional<std::int64_t> to_ns);
   [[nodiscard]] RowRange head_range(std::optional<std::int64_t> from_ns,
-                                    std::optional<std::int64_t> to_ns) const;
+                                    std::optional<std::int64_t> to_ns) const {
+    return rows_between(head_ts_, from_ns, to_ns);
+  }
 
   // Approximate heap bytes held: head column capacities plus the
   // resident sealed tier (hot blocks, refs, seq sidecars).

@@ -3,10 +3,8 @@
 // property pyramid locking down the vectorized decode engine
 // (DESIGN.md §15).
 //
-// RapidCheck is the richer engine when the build could fetch it
-// (ENVMON_HAVE_RAPIDCHECK, tests/tsdb_rapidcheck_test.cpp), but tier-1
-// must build hermetically offline — so the universal invariants run on
-// this dependency-free harness: each ENVMON_PROP() body executes N
+// Tier-1 must build hermetically offline, so the universal invariants
+// run on this dependency-free harness: each ENVMON_PROP() body executes N
 // generated cases, every case seeded deterministically from (base
 // seed, case index), and a failure prints the pair to replay with:
 //

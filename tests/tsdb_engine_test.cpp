@@ -252,6 +252,46 @@ TEST(EnvDatabase, FilteredQueriesScanFewerRowsThanFullScan) {
   EXPECT_LT(scanned, db.size() / 4);  // ...not the whole store
 }
 
+TEST(EnvDatabase, RowsDecodedCountsTheSubchunksReadNotTheBlock) {
+  // rows_decoded counts the rows of the sealed-block subchunks whose
+  // values a read decoded; head rows count 0.  Pushdown is off so the
+  // folds must decode too.
+  DatabaseOptions options;
+  options.aggregation_pushdown = false;
+  EnvDatabase db(options);
+  std::vector<Record> rows;
+  for (int i = 0; i < 4096 + 10; ++i) {
+    rows.push_back(
+        Record{SimTime::from_ns(i * 1'000'000LL), rack_location(0), "power", 0.5 * i});
+  }
+  ASSERT_TRUE(db.insert_batch(rows).all_accepted());
+  ASSERT_EQ(db.sealed_block_count(), 1u);  // rows 0..4095 auto-sealed
+
+  // Rows 35..40, all inside subchunk 2 (rows 32..47) of the block.
+  QueryFilter inside;
+  inside.from = SimTime::from_ns(35'000'000);
+  inside.to = SimTime::from_ns(40'000'000);
+  const auto decoded = [&db] { return db.query_stats().rows_decoded; };
+  std::uint64_t before = decoded();
+  EXPECT_EQ(db.query(inside).size(), 6u);
+  EXPECT_EQ(decoded() - before, 16u);
+  before = decoded();
+  EXPECT_EQ(db.downsample(inside, Duration::seconds(1)).at(0).count, 6u);
+  EXPECT_EQ(decoded() - before, 16u);
+  before = decoded();
+  EXPECT_EQ(db.aggregate(inside).count, 6u);
+  EXPECT_EQ(decoded() - before, 16u);
+
+  // The 10 head rows decode nothing.
+  QueryFilter head;
+  head.from = SimTime::from_ns(4096'000'000);
+  before = decoded();
+  EXPECT_EQ(db.query(head).size(), 10u);
+  EXPECT_EQ(db.downsample(head, Duration::seconds(1)).at(0).count, 10u);
+  EXPECT_EQ(db.aggregate(head).count, 10u);
+  EXPECT_EQ(decoded() - before, 0u);
+}
+
 TEST(EnvDatabase, QueryAndDownsampleMatchFlatScanOracle) {
   // Three engines over the same record stream and seal schedule: the
   // default (compressed blocks, aggregation pushdown), the reference

@@ -321,6 +321,15 @@ TEST(Persistence, CorruptSegmentPayloadIsQuarantinedNotFatal) {
   EXPECT_LT(rows.size(), rows_total);
   EXPECT_GT(rows.size(), 0u);
   EXPECT_GE(db.durable_stats().quarantined, 1u);
+  // Once quarantined, the block is skipped by every read alike: the
+  // aggregate and the downsample buckets count exactly the rows query
+  // returned.
+  EXPECT_EQ(db.aggregate(QueryFilter{}).count, rows.size());
+  std::size_t bucketed = 0;
+  for (const auto& bucket : db.downsample(QueryFilter{}, Duration::seconds(1))) {
+    bucketed += bucket.count;
+  }
+  EXPECT_EQ(bucketed, rows.size());
 }
 
 TEST(Persistence, IdenticalBlocksAcrossSeriesDedupToOneExtent) {

@@ -13,7 +13,7 @@
 //    an independent transcription of the canonical grammar in simd.hpp,
 //    for every lane count 0..16 including NaN/±inf/±0 mixes;
 //  * sealed blocks — compressed and raw seals of the same rows produce
-//    bit-identical summaries and subchunk sums, and range/cursor reads
+//    bit-identical summaries and subchunk sums, and cursor subchunk reads
 //    agree with full decodes;
 //  * engine oracle — query/downsample/aggregate results match a flat
 //    mirror scan and are bit-identical across the default, reference
@@ -289,7 +289,7 @@ ENVMON_PROP(PropSimd, FoldsMatchGrammarBitwiseOnEveryLaneCount, 250) {
 }
 
 // ---------------------------------------------------------------------
-// Sealed blocks: compressed ≡ raw, ranges ≡ full decode
+// Sealed blocks: compressed ≡ raw, cursor subchunks ≡ full decode
 // ---------------------------------------------------------------------
 
 ENVMON_PROP(PropBlock, CompressedAndRawSealsAgreeBitwise, 60) {
@@ -357,21 +357,16 @@ ENVMON_PROP(PropBlock, CompressedAndRawSealsAgreeBitwise, 60) {
       ASSERT_EQ(bits_of(got_values[i]), bits_of(values[i])) << "row " << i;
     }
 
-    // Random [begin, end) range reads against the full decode, through
-    // both the one-shot range API and a reused cursor.
+    // Random subchunk reads through one reused cursor against the full
+    // decode — repeats and out-of-order jumps included, since the cursor
+    // caches the last subchunk it decoded.
     BlockValueCursor cursor(*b);
-    for (int probe = 0; probe < 4; ++probe) {
-      const std::size_t begin = rng.index(rows + 1);
-      const std::size_t end = begin + rng.index(rows - begin + 1);
-      std::vector<double> range(end - begin, -1.0);
-      b->decode_values_range(begin, end, range.data());
-      for (std::size_t i = begin; i < end; ++i) {
-        ASSERT_EQ(bits_of(range[i - begin]), bits_of(values[i])) << "range row " << i;
-      }
-      std::vector<double> via_cursor(end - begin, -2.0);
-      cursor.read(begin, end, via_cursor.data());
-      for (std::size_t i = begin; i < end; ++i) {
-        ASSERT_EQ(bits_of(via_cursor[i - begin]), bits_of(values[i])) << "cursor row " << i;
+    for (int probe = 0; probe < 8; ++probe) {
+      const std::size_t c = rng.index(b->subchunk_count());
+      const double* chunk = cursor.subchunk(c);
+      for (std::size_t i = 0; i < b->subchunk_rows(c); ++i) {
+        const std::size_t row = c * Block::kSubchunkRows + i;
+        ASSERT_EQ(bits_of(chunk[i]), bits_of(values[row])) << "cursor row " << row;
       }
     }
   }
