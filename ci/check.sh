@@ -12,10 +12,10 @@
 #   4. daemon smoke: a real envmond process serves three concurrent
 #      clients over its Unix socket, then the in-process variant also
 #      gates frame-log replay identity (DESIGN.md §14's gate);
-#   5. codec decode smoke: every compiled simd variant decodes the
-#      sensor-shaped column and timestamp stream bit-identically to the
-#      reference decoders (DESIGN.md §15's identity contract; the
-#      throughput gate itself runs under the Bench configuration);
+#   5. codec decode smoke: the decode kernels bit-identical to the
+#      reference decoders on the sensor-shaped column and timestamp
+#      stream (DESIGN.md §15's identity contract; the throughput gate
+#      itself runs under the Bench configuration);
 #   6. property sweep: the `prop` label re-runs at an elevated case
 #      count (the tier-1 pass already ran the defaults);
 #   7. ASan+UBSan build of the obs + fleet + persist + daemon + prop +
@@ -76,7 +76,7 @@ kill -TERM "${DAEMON_PID}" 2>/dev/null || true
 wait "${DAEMON_PID}" 2>/dev/null || true
 ./build/bench/daemon_ingest --smoke
 
-echo "== codec decode smoke: all variants bit-identical to the reference =="
+echo "== codec decode smoke: the decode kernels bit-identical to the reference =="
 ./build/bench/codec_decode --smoke
 
 echo "== property sweep: -L prop at ENVMON_PROP_CASES=${PROP_SWEEP_CASES} =="

@@ -24,18 +24,16 @@ Block Block::seal(std::span<const std::int64_t> ts, std::span<const double> valu
     s.seq_first = seq.front();
     s.seq_last = seq.back();
   }
-  // Canonical fold grammar (simd.hpp): fold each subchunk with the
-  // dispatched kernel, combine left-to-right.  Every variant produces
-  // the same bits, so sealed bytes never depend on the host ISA.
+  // Canonical fold grammar (simd.hpp): fold each subchunk, combine
+  // left-to-right.
   const std::size_t chunks = (n + kSubchunkRows - 1) / kSubchunkRows;
-  const auto& kernels = simd::active();
   simd::FoldCombine combine;
   block.subchunk_sums_.reserve(chunks);
   for (std::size_t c = 0; c < chunks; ++c) {
     const std::size_t begin = c * kSubchunkRows;
     const std::size_t end = begin + kSubchunkRows < n ? begin + kSubchunkRows : n;
     simd::SubchunkFold fold;
-    kernels.fold_subchunk(values.data() + begin, end - begin, fold);
+    simd::fold_subchunk(values.data() + begin, end - begin, fold);
     block.subchunk_sums_.push_back(fold.sum);
     combine.add(fold);
   }
@@ -87,7 +85,7 @@ void Block::decode_timestamps(std::vector<std::int64_t>& out) const {
     return;
   }
   out.resize(summary_.rows);
-  simd::active().decode_dod(ts_stream_.data(), ts_stream_.size(), summary_.rows, out.data());
+  simd::decode_dod(ts_stream_.data(), ts_stream_.size(), summary_.rows, out.data());
 }
 
 void Block::decode_seq(std::vector<std::uint64_t>& out) const {
@@ -97,8 +95,8 @@ void Block::decode_seq(std::vector<std::uint64_t>& out) const {
   }
   out.resize(summary_.rows);
   // seq values are encoded as int64 deltas; the bit patterns round-trip.
-  simd::active().decode_dod(seq_stream_.data(), seq_stream_.size(), summary_.rows,
-                            reinterpret_cast<std::int64_t*>(out.data()));
+  simd::decode_dod(seq_stream_.data(), seq_stream_.size(), summary_.rows,
+                   reinterpret_cast<std::int64_t*>(out.data()));
 }
 
 void Block::decode_values(std::vector<double>& out) const {
@@ -107,9 +105,9 @@ void Block::decode_values(std::vector<double>& out) const {
     return;
   }
   out.resize(summary_.rows);
-  simd::active().decode_xor_column(value_stream_.data(), value_stream_.size(),
-                                   value_chunk_offsets_.data(), value_chunk_offsets_.size(),
-                                   summary_.rows, out.data());
+  simd::decode_xor_column(value_stream_.data(), value_stream_.size(),
+                          value_chunk_offsets_.data(), value_chunk_offsets_.size(),
+                          summary_.rows, out.data());
 }
 
 void Block::decode_subchunk_values(std::size_t chunk, double* out) const {
@@ -119,8 +117,8 @@ void Block::decode_subchunk_values(std::size_t chunk, double* out) const {
     for (std::size_t i = 0; i < count; ++i) out[i] = src[i];
     return;
   }
-  simd::active().decode_xor_subchunk(value_stream_.data(), value_stream_.size(),
-                                     value_chunk_offsets_[chunk], count, out);
+  simd::decode_xor_subchunk(value_stream_.data(), value_stream_.size(),
+                            value_chunk_offsets_[chunk], count, out);
 }
 
 const double* BlockValueCursor::subchunk(std::size_t chunk) {

@@ -20,11 +20,10 @@
 //    subchunk (bucket boundary) without decoding the rest.
 //
 // The folds follow the canonical fold grammar in simd.hpp — a 4-lane
-// tree within each subchunk (which is also the vectorized
-// implementation), combined left-to-right across subchunks — and the
-// query engine aggregates at subchunk granularity with the same
-// grammar, which is what makes summary pushdown bit-identical to
-// decode-then-fold on every dispatch variant.
+// tree within each subchunk, combined left-to-right across subchunks —
+// and the query engine aggregates at subchunk granularity with the
+// same grammar, which is what makes summary pushdown bit-identical to
+// decode-then-fold.
 //
 // `compress = false` seals the same structure around plain column
 // copies — identical layout, summaries, and query semantics, no codec.

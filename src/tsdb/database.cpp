@@ -113,12 +113,6 @@ EnvDatabase::EnvDatabase(DatabaseOptions options) : options_(options) {
         "Rows of sealed-block subchunks whose values query/downsample/aggregate "
         "decoded (or copied from a raw block); summary-served subchunks and head "
         "rows count 0");
-    // Info gauge: constant 1, the label names the decode variant the
-    // CPU probe (or ENVMON_SIMD) selected at startup.
-    auto& dispatch_gauge = registry.gauge(
-        "envmon_tsdb_simd_dispatch", "Active vectorized decode variant (info gauge)",
-        std::string("variant=\"") + simd::variant_name(simd::dispatched_variant()) + "\"");
-    dispatch_gauge.set(1.0);
   }
 }
 
@@ -555,7 +549,6 @@ std::vector<EnvDatabase::Bucket> EnvDatabase::downsample(const QueryFilter& filt
   std::map<std::int64_t, Acc> acc;
   ScanCounts counts;
   const std::int64_t w = bucket_width.ns();
-  const auto& kernels = simd::active();
   const ScanPlan plan = plan_scan(filter);
   PartCursor cursor;
   for (const ScanPart& part : plan.parts) {
@@ -574,7 +567,7 @@ std::vector<EnvDatabase::Bucket> EnvDatabase::downsample(const QueryFilter& filt
             counts.pushdown_rows += ce - cb;
             ++counts.pushdown_chunks;
           } else {
-            slot.sum += kernels.sum_subchunk(cursor.subchunk(c), ce - cb);
+            slot.sum += simd::sum_subchunk(cursor.subchunk(c), ce - cb);
           }
           slot.count += ce - cb;
           counts.rows_scanned += ce - cb;
@@ -640,7 +633,6 @@ EnvDatabase::Aggregate EnvDatabase::aggregate(const QueryFilter& filter) const {
       any_finite = true;
     }
   };
-  const auto& kernels = simd::active();
   const ScanPlan plan = plan_scan(filter);
   PartCursor cursor;
   for (const ScanPart& part : plan.parts) {
@@ -664,7 +656,7 @@ EnvDatabase::Aggregate EnvDatabase::aggregate(const QueryFilter& filter) const {
     simd::FoldCombine combine;
     cursor.for_each_subchunk([&](std::size_t c, std::size_t lo, std::size_t hi) {
       simd::SubchunkFold fold;
-      kernels.fold_subchunk(cursor.subchunk(c) + (lo - c * PartCursor::kRows), hi - lo, fold);
+      simd::fold_subchunk(cursor.subchunk(c) + (lo - c * PartCursor::kRows), hi - lo, fold);
       combine.add(fold);
     });
     apply_part(combine.finish(), cursor.rows().size());

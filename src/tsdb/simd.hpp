@@ -1,19 +1,17 @@
 #pragma once
-// Runtime-dispatched vectorized decode & fold engine (DESIGN.md §15).
+// Decode & fold kernels for the tsdb read path (DESIGN.md §15).
 //
 // The storage engine's hot read path — XOR value decode, delta-of-delta
 // timestamp/seq decode, and the min/max/sum/sumsq folds behind
 // aggregate(), downsample() pushdown misses, and seal-time summary
-// construction — runs through a table of kernels chosen once at startup
-// from what the CPU offers: AVX2, SSE4.2, or a portable scalar
-// fallback.  Every variant is bound by one contract:
+// construction — runs through the plain functions below.  One
+// contract binds them:
 //
-//   byte identity — for any input bytes (including garbage), a variant
-//   produces exactly the bit pattern the scalar reference decoders in
+//   byte identity — for any input bytes (including garbage), a decoder
+//   produces exactly the bit pattern the reference decoders in
 //   codec.hpp produce, and every fold reproduces the canonical fold
-//   grammar (below) bit for bit.  Variants differ in speed only; sealed
-//   bytes and query/downsample/aggregate output never depend on the
-//   host's instruction set.
+//   grammar (below) bit for bit.  Sealed bytes and
+//   query/downsample/aggregate output follow from the grammar alone.
 //
 // The batch decoders beat the reference classes not by vectorizing the
 // (inherently serial) bit parsing but by (a) a 64-bit buffered bit
@@ -25,9 +23,9 @@
 // plus a broadcast store, and (c) the per-16-row XOR restart offsets,
 // which make every subchunk's stream self-contained so column decode,
 // aggregate(), and downsample() can start at any subchunk without
-// replaying the block prefix.  The folds are where the SIMD lanes do
-// arithmetic: the canonical fold grammar is shaped so a 4-lane
-// vertical reduction IS the definition.
+// replaying the block prefix.  The fold grammar is shaped so a 4-lane
+// vertical reduction IS the definition, which a compiler may map onto
+// vector lanes without reordering a single add.
 //
 // Canonical fold grammar (one subchunk run, n <= 16 rows):
 //   sum     = for a full 16-row subchunk, the 4-lane tree
@@ -43,7 +41,9 @@
 //             (0x7ff8000000000000) — compilers may commute FP adds and
 //             x86 propagates the *first* NaN operand's payload, so raw
 //             payloads are not reproducible across codegen.
-//   sum_sq  = the same shapes over v[i]*v[i], same NaN rule
+//   sum_sq  = the same shapes over v[i]*v[i], same NaN rule, the
+//             product rounded before the add (never a fused
+//             multiply-add)
 //   min/max = over non-NaN rows; a zero result resolves to -0.0 for
 //             min and +0.0 for max when that sign of zero was present
 //             in the rows, making the fold order-independent even when
@@ -52,21 +52,19 @@
 //   finite  = count of non-NaN rows
 // Block-level summaries fold the subchunk results left-to-right in
 // subchunk order (block.hpp) — which is what makes summary pushdown
-// bit-identical to decode-then-fold on every variant.
-//
-// Dispatch is forceable for testing: ENVMON_SIMD=scalar|sse42|avx2
-// pins the active variant (ignored, with the best variant kept, when
-// the CPU lacks the requested one).
+// bit-identical to decode-then-fold.
 
 #include <cstddef>
 #include <cstdint>
 
 namespace envmon::tsdb::simd {
 
-enum class Variant : std::uint8_t { kScalar = 0, kSse42 = 1, kAvx2 = 2 };
-inline constexpr std::size_t kVariantCount = 3;
+// The one kernel set.  Kept as a named value so host reports can say
+// which decode path ran.
+enum class Variant : std::uint8_t { kScalar = 0 };
 
 [[nodiscard]] const char* variant_name(Variant v);
+[[nodiscard]] Variant dispatched_variant();
 
 // Canonical per-subchunk fold result (grammar above).
 struct SubchunkFold {
@@ -77,38 +75,35 @@ struct SubchunkFold {
   std::uint32_t finite = 0;  // non-NaN rows
 };
 
-// One variant's kernel table.  All decoders are total: reads past the
-// end of `stream` behave as if the stream were zero-padded (exactly the
-// codec.hpp BitReader semantics), so corrupt lengths or offsets yield
-// arbitrary values but never out-of-bounds reads.
-struct Kernels {
-  Variant variant;
+// Canonical fold over one subchunk (n <= 16).
+void fold_subchunk(const double* v, std::size_t n, SubchunkFold& out);
+// Canonical sum alone (the downsample full-subchunk decode path).
+[[nodiscard]] double sum_subchunk(const double* v, std::size_t n);
 
-  // Canonical fold over one subchunk (n <= 16).
-  void (*fold_subchunk)(const double* v, std::size_t n, SubchunkFold& out);
-  // Canonical sum alone (the downsample full-subchunk decode path).
-  double (*sum_subchunk)(const double* v, std::size_t n);
-
-  // Decodes a whole XOR value column: `chunks` subchunk streams whose
-  // starting bit offsets are `chunk_offsets[c]`, kSubchunkRows rows per
-  // subchunk except the last; writes exactly `rows` doubles.
-  void (*decode_xor_column)(const std::uint8_t* stream, std::size_t stream_bytes,
-                            const std::uint32_t* chunk_offsets, std::size_t chunks,
-                            std::size_t rows, double* out);
-  // Decodes one XOR subchunk from `bit_offset`; writes `rows` doubles.
-  void (*decode_xor_subchunk)(const std::uint8_t* stream, std::size_t stream_bytes,
-                              std::size_t bit_offset, std::size_t rows, double* out);
-  // Decodes `rows` values of a delta-of-delta stream (timestamps, seq).
-  void (*decode_dod)(const std::uint8_t* stream, std::size_t stream_bytes, std::size_t rows,
-                     std::int64_t* out);
-};
+// All decoders are total: reads past the end of `stream` behave as if
+// the stream were zero-padded (exactly the codec.hpp BitReader
+// semantics), so corrupt lengths or offsets yield arbitrary values but
+// never out-of-bounds reads.
+//
+// Decodes a whole XOR value column: `chunks` subchunk streams whose
+// starting bit offsets are `chunk_offsets[c]`, kSubchunkRows rows per
+// subchunk except the last; writes exactly `rows` doubles.
+void decode_xor_column(const std::uint8_t* stream, std::size_t stream_bytes,
+                       const std::uint32_t* chunk_offsets, std::size_t chunks, std::size_t rows,
+                       double* out);
+// Decodes one XOR subchunk from `bit_offset`; writes `rows` doubles.
+void decode_xor_subchunk(const std::uint8_t* stream, std::size_t stream_bytes,
+                         std::size_t bit_offset, std::size_t rows, double* out);
+// Decodes `rows` values of a delta-of-delta stream (timestamps, seq).
+void decode_dod(const std::uint8_t* stream, std::size_t stream_bytes, std::size_t rows,
+                std::int64_t* out);
 
 // Left-to-right combiner of subchunk folds into a block- or
-// range-level fold (the second layer of the canonical grammar).  One
-// compiled copy lives in simd.cpp so seal-time summaries, aggregation
-// pushdown, and the decode-then-fold path all run literally the same
-// instructions — finish() re-applies the canonical NaN and ±0 rules,
-// which keeps the combine order-stable even through inf/NaN mixes.
+// range-level fold (the second layer of the canonical grammar).
+// Seal-time summaries, aggregation pushdown, and the decode-then-fold
+// path all run this one combiner — finish() re-applies the canonical
+// NaN and ±0 rules, which keeps the combine order-stable even through
+// inf/NaN mixes.
 struct FoldCombine {
   void add(const SubchunkFold& f);
   [[nodiscard]] SubchunkFold finish() const;
@@ -121,17 +116,5 @@ struct FoldCombine {
   bool min_has_neg_zero = false;
   bool max_has_pos_zero = false;
 };
-
-// The variant chosen at startup (CPU probe, then ENVMON_SIMD override).
-[[nodiscard]] const Kernels& active();
-[[nodiscard]] Variant dispatched_variant();
-
-// A specific variant's kernels — benches and the identity property
-// suite iterate these.  Asking for an unavailable variant returns the
-// scalar table (which is always available).
-[[nodiscard]] const Kernels& kernels(Variant v);
-
-// Compiled in AND supported by this CPU.
-[[nodiscard]] bool variant_available(Variant v);
 
 }  // namespace envmon::tsdb::simd

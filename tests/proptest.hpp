@@ -1,6 +1,6 @@
 #pragma once
 // Minimal in-repo property-test harness — the base layer of the
-// property pyramid locking down the vectorized decode engine
+// property pyramid locking down the decode & fold kernels
 // (DESIGN.md §15).
 //
 // Tier-1 must build hermetically offline, so the universal invariants

@@ -13,10 +13,13 @@
 #include <random>
 #include <vector>
 
+#include "common/rng.hpp"
+#include "daemon/digest.hpp"
 #include "tsdb/block.hpp"
 #include "tsdb/codec.hpp"
 #include "tsdb/database.hpp"
 #include "tsdb/series.hpp"
+#include "tsdb/simd.hpp"
 
 namespace envmon::tsdb {
 namespace {
@@ -277,8 +280,7 @@ TEST(Block, SubchunkDecodeMatchesFullDecodeSlice) {
 
 TEST(Block, SubchunkSumsAreTheCanonicalFolds) {
   // 200 rows: twelve full 16-row subchunks (4-lane tree fold) plus one
-  // 8-row tail (left-to-right fold) — the canonical grammar in
-  // simd.hpp, which every dispatch variant reproduces bit for bit.
+  // 8-row tail (left-to-right fold) — the canonical grammar in simd.hpp.
   const Block b = make_block(200, true);
   std::vector<double> full;
   b.decode_values(full);
@@ -317,6 +319,94 @@ TEST(Block, SmoothStreamsCompressWellBelowRawFootprint) {
   // Raw is 24 B/row before overheads; the gate for the full engine is
   // 8 B/row, so a single smooth block should sit far below raw.
   EXPECT_LT(c.bytes_used() * 3, r.bytes_used());
+}
+
+// ------------------------------------------------------------- golden
+
+// Absolute bits of the fold grammar and of one sealed block, pinned as
+// checked-in constants: any change to the decode & fold kernels, the
+// fold grammar, the codecs or the seal layout that moves a stored or
+// returned bit fails here, whatever else still agrees with itself.
+TEST(Codec, GoldenFoldAndSealBits) {
+  const auto bits = [](double d) { return std::bit_cast<std::uint64_t>(d); };
+  const double inf = std::numeric_limits<double>::infinity();
+  const double subnormal = std::numeric_limits<double>::denorm_min() * 12345;
+  const double nan_payload = std::bit_cast<double>(0x7ff800000000beefull);
+  const double tiny = std::ldexp(1.0, -27);         // tiny² + tiny² = 2^-53
+  const double one_eps = 1.0 + std::ldexp(1.0, -30);  // one_eps² drops 2^-60
+  // 16 rows: lane 1 folds tiny², tiny², one_eps² — a tie that a fused
+  // multiply-add would round up instead of to even.  All rows >= 0 with
+  // both zeros present, so min takes the canonical -0.0.
+  const double full[16] = {0.5,  tiny,    0.0, 0.25,   0.1,  tiny, subnormal, 0.125,
+                           -0.0, one_eps, 0.2, 1e-300, 0.75, 0.0,  0.0625,    0.375};
+  // 10 rows: the same FMA-sensitive triple first (rows 0-2 fold
+  // left-to-right on their own), then a non-canonical NaN payload,
+  // both infinities, both zeros and a subnormal.
+  const double tail[10] = {tiny, tiny, one_eps, nan_payload, -0.0, inf, 0.0, subnormal, -inf, 3.5};
+
+  simd::SubchunkFold f16;
+  simd::SubchunkFold f10;
+  simd::fold_subchunk(full, 16, f16);
+  simd::fold_subchunk(tail, 10, f10);
+  simd::FoldCombine combine;
+  combine.add(f16);
+  combine.add(f10);
+  const simd::SubchunkFold total = combine.finish();
+
+  const auto expect_fold = [&](const simd::SubchunkFold& f, const std::uint64_t (&want)[4],
+                               std::uint32_t finite, const char* what) {
+    EXPECT_EQ(bits(f.sum), want[0]) << what << " sum";
+    EXPECT_EQ(bits(f.sum_sq), want[1]) << what << " sum_sq";
+    EXPECT_EQ(bits(f.min), want[2]) << what << " min";
+    EXPECT_EQ(bits(f.max), want[3]) << what << " max";
+    EXPECT_EQ(f.finite, finite) << what << " finite";
+  };
+  expect_fold(f16, {0x400ae66668866666ull, 0x4000ae6666a66666ull, 0x8000000000000000ull,
+                    0x3ff0000000400000ull}, 16, "16-row fold");
+  expect_fold(f10, {0x7ff8000000000000ull, 0x7ff8000000000000ull, 0xfff0000000000000ull,
+                    0x7ff0000000000000ull}, 9, "10-row fold");
+  expect_fold(total, {0x7ff8000000000000ull, 0x7ff8000000000000ull, 0xfff0000000000000ull,
+                      0x7ff0000000000000ull}, 25, "combined fold");
+  EXPECT_EQ(bits(simd::sum_subchunk(full, 16)), bits(f16.sum));
+  EXPECT_EQ(bits(simd::sum_subchunk(tail, 10)), bits(f10.sum));
+  simd::SubchunkFold f3;
+  simd::fold_subchunk(tail, 3, f3);
+  EXPECT_EQ(bits(f3.sum_sq), 0x3ff0000000800000ull) << "3-row fold sum_sq";
+
+  // One seeded sensor-shaped column: a 560 ms MonEQ tick with jitter,
+  // gappy seq, and a 0.1 W-resolution random walk with repeats.
+  std::vector<std::int64_t> ts;
+  std::vector<double> values;
+  std::vector<std::uint64_t> seq;
+  SplitMix64 rng(0x5eed'601d);
+  std::int64_t t = 1'700'000'000'000'000'000ll;
+  std::uint64_t q = 1000;
+  std::int64_t level = 0;
+  for (std::size_t i = 0; i < Block::kMaxRows; ++i) {
+    const std::uint64_t r = rng.next();
+    t += 560'000'000ll + ((r & 3u) == 0 ? static_cast<std::int64_t>((r >> 8) % 3'000'000) : 0);
+    q += 1 + (r >> 20) % 3;
+    if ((r >> 40) & 1u) level += static_cast<std::int64_t>((r >> 44) % 9) - 4;
+    ts.push_back(t);
+    seq.push_back(q);
+    values.push_back(40.0 + static_cast<double>(level) * 0.1);
+  }
+  const Block block = Block::seal(ts, values, seq, true);
+  std::vector<std::uint8_t> extent;
+  std::vector<std::uint8_t> seq_stream;
+  block.encode_extent(extent);
+  block.encode_seq_stream(seq_stream);
+  daemon::Fnv1a h;
+  h.mix(extent.data(), extent.size());
+  h.mix(seq_stream.data(), seq_stream.size());
+  const BlockSummary& s = block.summary();
+  for (const std::uint64_t field :
+       {std::uint64_t{s.rows}, std::uint64_t{s.finite_rows}, static_cast<std::uint64_t>(s.ts_min),
+        static_cast<std::uint64_t>(s.ts_max), s.seq_first, s.seq_last, bits(s.value_min),
+        bits(s.value_max), bits(s.value_sum), bits(s.value_sum_sq)}) {
+    h.mix_u64(field);
+  }
+  EXPECT_EQ(h.value(), 0xe92247441e0da97dull) << std::hex << h.value();
 }
 
 // -------------------------------------------------------------- series

@@ -1,16 +1,16 @@
-// Property suite for the vectorized decode & fold engine (ctest label
+// Property suite for the decode & fold kernels (ctest label
 // `prop`; DESIGN.md §15).  Every invariant here is universally
 // quantified over generated inputs rather than pinned examples:
 //
 //  * codec roundtrip — delta-of-delta over arbitrary (wrapping) int64
 //    streams and XOR over arbitrary 64-bit patterns decode back exactly,
-//    through the reference decoders AND through every compiled dispatch
-//    variant;
-//  * decode totality — garbage bytes with garbage offsets decode to
-//    *identical* bits on every variant and never read out of bounds
+//    through the reference decoders AND through the batch decoders in
+//    simd.hpp;
+//  * decode totality — garbage bytes with garbage offsets decode to the
+//    reference decoders' bits and never read out of bounds
 //    (ci/check.sh re-runs this suite under ASan/UBSan);
-//  * fold grammar — each variant's subchunk folds are bit-identical to
-//    an independent transcription of the canonical grammar in simd.hpp,
+//  * fold grammar — the subchunk folds are bit-identical to an
+//    independent transcription of the canonical grammar in simd.hpp,
 //    for every lane count 0..16 including NaN/±inf/±0 mixes;
 //  * sealed blocks — compressed and raw seals of the same rows produce
 //    bit-identical summaries and subchunk sums, and cursor subchunk reads
@@ -48,15 +48,6 @@ using sim::Duration;
 using sim::SimTime;
 
 constexpr std::size_t kRows = Block::kSubchunkRows;
-
-std::vector<simd::Variant> compiled_variants() {
-  std::vector<simd::Variant> out;
-  for (std::size_t i = 0; i < simd::kVariantCount; ++i) {
-    const auto v = static_cast<simd::Variant>(i);
-    if (simd::variant_available(v)) out.push_back(v);
-  }
-  return out;
-}
 
 std::uint64_t bits_of(double d) { return std::bit_cast<std::uint64_t>(d); }
 
@@ -97,14 +88,9 @@ ENVMON_PROP(PropCodec, DeltaOfDeltaRoundtripsOnAllVariants, 120) {
     ASSERT_EQ(dec.next(r), vals[i]) << "reference decoder, row " << i;
   }
 
-  std::vector<std::int64_t> out(rows);
-  for (const simd::Variant v : compiled_variants()) {
-    std::fill(out.begin(), out.end(), std::int64_t{-1});
-    simd::kernels(v).decode_dod(stream.data(), stream.size(), rows, out.data());
-    for (std::size_t i = 0; i < rows; ++i) {
-      ASSERT_EQ(out[i], vals[i]) << simd::variant_name(v) << ", row " << i;
-    }
-  }
+  std::vector<std::int64_t> out(rows, -1);
+  simd::decode_dod(stream.data(), stream.size(), rows, out.data());
+  for (std::size_t i = 0; i < rows; ++i) ASSERT_EQ(out[i], vals[i]) << "row " << i;
 }
 
 ENVMON_PROP(PropCodec, XorColumnRoundtripsAnyBitPatternsOnAllVariants, 120) {
@@ -144,30 +130,26 @@ ENVMON_PROP(PropCodec, XorColumnRoundtripsAnyBitPatternsOnAllVariants, 120) {
     }
   }
 
-  std::vector<double> out(rows);
-  for (const simd::Variant v : compiled_variants()) {
-    const simd::Kernels& k = simd::kernels(v);
-    std::fill(out.begin(), out.end(), -7.25);
-    k.decode_xor_column(stream.data(), stream.size(), offsets.data(), offsets.size(), rows,
-                        out.data());
-    for (std::size_t i = 0; i < rows; ++i) {
-      ASSERT_EQ(bits_of(out[i]), bits_of(vals[i])) << simd::variant_name(v) << ", row " << i;
-    }
-    // Single-subchunk decode from a random restart offset.
-    const std::size_t c = rng.index(offsets.size());
-    const std::size_t begin = c * kRows;
-    const std::size_t n = std::min(begin + kRows, rows) - begin;
-    double chunk[kRows];
-    k.decode_xor_subchunk(stream.data(), stream.size(), offsets[c], n, chunk);
-    for (std::size_t i = 0; i < n; ++i) {
-      ASSERT_EQ(bits_of(chunk[i]), bits_of(vals[begin + i]))
-          << simd::variant_name(v) << ", subchunk " << c << ", lane " << i;
-    }
+  std::vector<double> out(rows, -7.25);
+  simd::decode_xor_column(stream.data(), stream.size(), offsets.data(), offsets.size(), rows,
+                          out.data());
+  for (std::size_t i = 0; i < rows; ++i) {
+    ASSERT_EQ(bits_of(out[i]), bits_of(vals[i])) << "row " << i;
+  }
+  // Single-subchunk decode from a random restart offset.
+  const std::size_t c = rng.index(offsets.size());
+  const std::size_t begin = c * kRows;
+  const std::size_t n = std::min(begin + kRows, rows) - begin;
+  double chunk[kRows];
+  simd::decode_xor_subchunk(stream.data(), stream.size(), offsets[c], n, chunk);
+  for (std::size_t i = 0; i < n; ++i) {
+    ASSERT_EQ(bits_of(chunk[i]), bits_of(vals[begin + i]))
+        << "subchunk " << c << ", lane " << i;
   }
 }
 
 // ---------------------------------------------------------------------
-// Decode totality: garbage in, identical garbage out, no OOB
+// Decode totality: garbage in, the reference's garbage out, no OOB
 // ---------------------------------------------------------------------
 
 ENVMON_PROP(PropCodec, GarbageDecodesIdenticallyOnAllVariants, 150) {
@@ -192,28 +174,20 @@ ENVMON_PROP(PropCodec, GarbageDecodesIdenticallyOnAllVariants, 150) {
     for (std::size_t i = c * kRows; i < end; ++i) ref[i] = dec.next(r);
   }
 
-  std::vector<double> out(rows);
-  for (const simd::Variant v : compiled_variants()) {
-    std::fill(out.begin(), out.end(), 0.0);
-    simd::kernels(v).decode_xor_column(stream.data(), stream.size(), offsets.data(), chunks,
-                                       rows, out.data());
-    for (std::size_t i = 0; i < rows; ++i) {
-      ASSERT_EQ(bits_of(out[i]), bits_of(ref[i])) << simd::variant_name(v) << ", row " << i;
-    }
+  std::vector<double> out(rows, 0.0);
+  simd::decode_xor_column(stream.data(), stream.size(), offsets.data(), chunks, rows,
+                          out.data());
+  for (std::size_t i = 0; i < rows; ++i) {
+    ASSERT_EQ(bits_of(out[i]), bits_of(ref[i])) << "row " << i;
   }
 
   BitReader dr(stream);
   DeltaOfDeltaDecoder ddec;
   std::vector<std::int64_t> dref(rows);
   for (auto& v : dref) v = ddec.next(dr);
-  std::vector<std::int64_t> dout(rows);
-  for (const simd::Variant v : compiled_variants()) {
-    std::fill(dout.begin(), dout.end(), std::int64_t{0});
-    simd::kernels(v).decode_dod(stream.data(), stream.size(), rows, dout.data());
-    for (std::size_t i = 0; i < rows; ++i) {
-      ASSERT_EQ(dout[i], dref[i]) << simd::variant_name(v) << ", row " << i;
-    }
-  }
+  std::vector<std::int64_t> dout(rows, 0);
+  simd::decode_dod(stream.data(), stream.size(), rows, dout.data());
+  for (std::size_t i = 0; i < rows; ++i) ASSERT_EQ(dout[i], dref[i]) << "row " << i;
 }
 
 // ---------------------------------------------------------------------
@@ -272,20 +246,16 @@ ENVMON_PROP(PropSimd, FoldsMatchGrammarBitwiseOnEveryLaneCount, 250) {
                           : static_cast<double>(rng.range(0, 4000)) * 0.125 - 250.0;
   }
   const simd::SubchunkFold want = grammar_fold(v, n);
-  for (const simd::Variant var : compiled_variants()) {
-    const simd::Kernels& k = simd::kernels(var);
-    simd::SubchunkFold got;
-    k.fold_subchunk(v, n, got);
-    const char* name = simd::variant_name(var);
-    expect_bits_eq(got.sum, want.sum, name);
-    expect_bits_eq(got.sum_sq, want.sum_sq, name);
-    EXPECT_EQ(got.finite, want.finite) << name;
-    if (want.finite > 0) {
-      expect_bits_eq(got.min, want.min, name);
-      expect_bits_eq(got.max, want.max, name);
-    }
-    expect_bits_eq(k.sum_subchunk(v, n), want.sum, name);
+  simd::SubchunkFold got;
+  simd::fold_subchunk(v, n, got);
+  expect_bits_eq(got.sum, want.sum, "sum");
+  expect_bits_eq(got.sum_sq, want.sum_sq, "sum_sq");
+  EXPECT_EQ(got.finite, want.finite);
+  if (want.finite > 0) {
+    expect_bits_eq(got.min, want.min, "min");
+    expect_bits_eq(got.max, want.max, "max");
   }
+  expect_bits_eq(simd::sum_subchunk(v, n), want.sum, "sum_subchunk");
 }
 
 // ---------------------------------------------------------------------
@@ -322,25 +292,21 @@ ENVMON_PROP(PropBlock, CompressedAndRawSealsAgreeBitwise, 60) {
   ASSERT_EQ(compressed.subchunk_count(), raw.subchunk_count());
 
   // Summaries and subchunk sums are exactly the canonical grammar over
-  // the input rows — recomputed here per variant via FoldCombine.
-  for (const simd::Variant var : compiled_variants()) {
-    const simd::Kernels& k = simd::kernels(var);
-    simd::FoldCombine combine;
-    for (std::size_t c = 0; c < compressed.subchunk_count(); ++c) {
-      const std::size_t n = compressed.subchunk_rows(c);
-      simd::SubchunkFold fold;
-      k.fold_subchunk(values.data() + c * kRows, n, fold);
-      expect_bits_eq(compressed.subchunk_sum(c), fold.sum, simd::variant_name(var));
-      combine.add(fold);
-    }
-    const simd::SubchunkFold total = combine.finish();
-    expect_bits_eq(cs.value_sum, total.sum, simd::variant_name(var));
-    expect_bits_eq(cs.value_sum_sq, total.sum_sq, simd::variant_name(var));
-    EXPECT_EQ(cs.finite_rows, total.finite) << simd::variant_name(var);
-    if (total.finite > 0) {
-      expect_bits_eq(cs.value_min, total.min, simd::variant_name(var));
-      expect_bits_eq(cs.value_max, total.max, simd::variant_name(var));
-    }
+  // the input rows — recomputed here via FoldCombine.
+  simd::FoldCombine combine;
+  for (std::size_t c = 0; c < compressed.subchunk_count(); ++c) {
+    simd::SubchunkFold fold;
+    simd::fold_subchunk(values.data() + c * kRows, compressed.subchunk_rows(c), fold);
+    expect_bits_eq(compressed.subchunk_sum(c), fold.sum, "subchunk sum");
+    combine.add(fold);
+  }
+  const simd::SubchunkFold total = combine.finish();
+  expect_bits_eq(cs.value_sum, total.sum, "fold sum");
+  expect_bits_eq(cs.value_sum_sq, total.sum_sq, "fold sum_sq");
+  EXPECT_EQ(cs.finite_rows, total.finite);
+  if (total.finite > 0) {
+    expect_bits_eq(cs.value_min, total.min, "fold min");
+    expect_bits_eq(cs.value_max, total.max, "fold max");
   }
 
   for (const Block* b : {&compressed, &raw}) {
