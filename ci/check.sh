@@ -16,15 +16,18 @@
 #      reference decoders on the sensor-shaped column and timestamp
 #      stream (DESIGN.md §15's identity contract; the throughput gate
 #      itself runs under the Bench configuration);
-#   6. property sweep: the `prop` label re-runs at an elevated case
+#   6. observability demo: examples/observability_demo must exit 0 and
+#      print its post-mortem — the one end-to-end run of the obs
+#      exports and the flight recorder dump;
+#   7. property sweep: the `prop` label re-runs at an elevated case
 #      count (the tier-1 pass already ran the defaults);
-#   7. ASan+UBSan build of the obs + fleet + persist + daemon + prop +
+#   8. ASan+UBSan build of the obs + fleet + persist + daemon + prop +
 #      tsdb labels (the suites that exercise the telemetry rollup,
 #      flight recorders, the ingest path, the durable storage layer, the
 #      wire protocol, the randomized codec/fold/engine properties, and
 #      the scan pipeline's read path — the garbage-decode properties
 #      are the UBSan workload for the bit-level kernels);
-#   8. TSan build of the same labels — the fleet suite's 8-worker
+#   9. TSan build of the same labels — the fleet suite's 8-worker
 #      byte-equality tests, the daemon suite's multi-client
 #      server/client runs, and the tsdb suite's 4-thread query oracle
 #      double as its data-race workload.
@@ -78,6 +81,11 @@ wait "${DAEMON_PID}" 2>/dev/null || true
 
 echo "== codec decode smoke: the decode kernels bit-identical to the reference =="
 ./build/bench/codec_decode --smoke
+
+echo "== observability demo: exports + flight recorder post-mortem =="
+DEMO_OUT="$(./build/examples/observability_demo)"
+grep -q -- "----- Post-mortem" <<<"${DEMO_OUT}"
+grep -q '"name": "backend.health"' <<<"${DEMO_OUT}"
 
 echo "== property sweep: -L prop at ENVMON_PROP_CASES=${PROP_SWEEP_CASES} =="
 ENVMON_PROP_CASES="${PROP_SWEEP_CASES}" \

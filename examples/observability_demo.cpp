@@ -1,11 +1,13 @@
-// Self-observability tour: run a small heterogeneous-node scenario and
-// read back everything the new obs layer recorded about it — the
-// Prometheus scrape text, the JSON snapshot, and the virtual-clock span
-// timeline.  Narrates what each exported metric means.
+// Self-observability tour: run a small heterogeneous-node scenario with
+// a brief GPU outage and read back everything the obs layer recorded
+// about it — the Prometheus scrape text, the JSON snapshot, and the
+// flight recorder's post-mortem of the outage on the virtual clock.
+// Narrates what each exported metric means.
 
 #include <cstdio>
 #include <memory>
 
+#include "fault/injector.hpp"
 #include "mic/card.hpp"
 #include "mic/micras.hpp"
 #include "moneq/backend_mic.hpp"
@@ -15,7 +17,7 @@
 #include "nvml/api.hpp"
 #include "obs/export.hpp"
 #include "obs/metrics.hpp"
-#include "obs/span.hpp"
+#include "obs/recorder.hpp"
 #include "rapl/reader.hpp"
 #include "tsdb/database.hpp"
 #include "workloads/library.hpp"
@@ -29,8 +31,11 @@ int main() {
   sim::Engine engine;
   // Log lines now carry `[t=...s]` virtual-time stamps.
   sim::ScopedLogClock log_clock(engine);
-  // One tracer, keyed to the engine's clock, shared by everything.
-  obs::Tracer tracer([&engine] { return engine.now(); }, /*event_capacity=*/64);
+  // One flight recorder for the node: the injector records each fault
+  // it fires, the profiler each backend health transition.
+  obs::FlightRecorder recorder;
+  fault::Injector injector(engine);
+  injector.attach_recorder(&recorder, /*node=*/0);
 
   ENVMON_LOG(kInfo) << "assembling a CPU + GPU + Phi node";
 
@@ -40,6 +45,11 @@ int main() {
 
   nvml::NvmlLibrary library(engine);
   library.attach_device(std::make_shared<nvml::GpuDevice>(nvml::k20_spec()));
+  library.attach_fault_hook(injector);
+  // The board drops off the bus for 2 s: long enough to quarantine it.
+  injector.fail_between(fault::sites::kNvml, sim::SimTime::from_seconds(3.0),
+                        sim::SimTime::from_seconds(5.0), StatusCode::kUnavailable,
+                        "GPU fell off the bus");
   (void)library.init();
   nvml::NvmlDeviceHandle gpu;
   (void)library.device_get_handle_by_index(0, &gpu);
@@ -55,7 +65,8 @@ int main() {
 
   smpi::World world(1);
   moneq::ProfilerOptions options;
-  options.tracer = &tracer;  // polls and backend queries become spans
+  options.recorder = &recorder;  // health transitions land on the recorder
+  options.recorder_node = 0;
   moneq::NodeProfiler profiler(engine, world, 0, options);
   if (!profiler.add_backend(cpu_backend).is_ok() ||
       !profiler.add_backend(gpu_backend).is_ok() ||
@@ -68,7 +79,6 @@ int main() {
   // Feed the profiler's power samples into the environmental database,
   // the way the BG/Q infrastructure lands sensor data in DB2.
   tsdb::EnvDatabase db;
-  db.attach_tracer(&tracer);  // inserts appear on the event ring
 
   ENVMON_LOG(kInfo) << "running 8 s of virtual time";
   engine.run_until(sim::SimTime::from_seconds(8.0));
@@ -90,7 +100,10 @@ int main() {
       "    histogram means reproduce the paper's table: rapl_msr ~0.03 ms/query,\n"
       "    nvml ~1.3 ms/query, mic daemon/API per their paths.\n"
       "envmon_backend_queries_total / _errors_total  query volume and failure rate\n"
-      "    per vendor mechanism.\n"
+      "    per vendor mechanism; the nvml errors are the injected outage.\n"
+      "envmon_backend_health{backend=...}            0 healthy, 1 degraded,\n"
+      "    2 quarantined, 3 recovered; the post-mortem below has each transition.\n"
+      "envmon_fault_injected_total{site=...}         faults the injector fired.\n"
       "envmon_profiler_polls_total                   SIGALRM-equivalent poll ticks.\n"
       "envmon_profiler_samples_total / dropped       buffer traffic; the high_water\n"
       "    gauge is the deepest the pre-allocated sample array ever got.\n"
@@ -101,16 +114,8 @@ int main() {
   std::printf("\n----- JSON snapshot (obs::export_json), for scripts -----\n\n");
   std::printf("%s\n", obs::export_json().c_str());
 
-  std::printf("\n----- Span timeline (first polls; spans indent by nesting) -----\n\n");
-  const std::string timeline = tracer.format_timeline();
-  // The full trace repeats every 500 ms; show the first ~20 lines.
-  std::size_t pos = 0;
-  for (int line = 0; line < 20 && pos != std::string::npos; ++line) {
-    const auto next = timeline.find('\n', pos);
-    std::printf("%s\n", timeline.substr(pos, next - pos).c_str());
-    pos = next == std::string::npos ? next : next + 1;
-  }
-  std::printf("... (%zu spans total, %llu events on the ring)\n", tracer.spans().size(),
-              static_cast<unsigned long long>(tracer.events().size()));
+  std::printf("\n----- Post-mortem (obs::dump_post_mortem of the flight recorder) -----\n\n");
+  const obs::FlightRecorder* recorders[] = {&recorder};
+  std::printf("%s", obs::dump_post_mortem("manual", recorders).c_str());
   return 0;
 }

@@ -79,9 +79,6 @@ void Injector::note_injection(Site& s, std::string_view name, std::string_view w
   ++s.injected;
   ++injected_total_;
   if (s.injected_metric != nullptr) s.injected_metric->inc();
-  if (tracer_ != nullptr) {
-    tracer_->event("fault.inject", std::string(name) + ": " + std::string(what));
-  }
   if (recorder_ != nullptr) {
     recorder_->record(engine_->now(), recorder_node_, "fault", "fault.inject",
                       std::string(name) + ": " + std::string(what));

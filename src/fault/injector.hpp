@@ -28,7 +28,6 @@
 #include "common/status.hpp"
 #include "obs/metrics.hpp"
 #include "obs/recorder.hpp"
-#include "obs/span.hpp"
 #include "sim/engine.hpp"
 #include "sim/time.hpp"
 
@@ -80,13 +79,10 @@ class Injector {
   /// `engine` supplies the clock; `seed` drives every flap decision.
   explicit Injector(sim::Engine& engine, std::uint64_t seed = 0x5eedfa17u);
 
-  /// When attached, every injected fault lands on the tracer's event
-  /// ring as a "fault.inject" event (detail = "<site>: <what>").
-  void attach_tracer(obs::Tracer* tracer) { tracer_ = tracer; }
-
-  /// When attached, every injected fault is also recorded on the flight
-  /// recorder as a deterministic "fault"/"fault.inject" event tagged with
-  /// `node` (the owning fleet rank, or -1 for standalone use).
+  /// When attached, every injected fault is recorded on the flight
+  /// recorder as a deterministic "fault"/"fault.inject" event (detail =
+  /// "<site>: <what>") tagged with `node` (the owning fleet rank, or -1
+  /// for standalone use).
   void attach_recorder(obs::FlightRecorder* recorder, int node = -1) {
     recorder_ = recorder;
     recorder_node_ = node;
@@ -175,7 +171,6 @@ class Injector {
 
   sim::Engine* engine_;
   std::uint64_t seed_;
-  obs::Tracer* tracer_ = nullptr;
   obs::FlightRecorder* recorder_ = nullptr;
   int recorder_node_ = -1;
   std::map<std::string, Site, std::less<>> sites_;

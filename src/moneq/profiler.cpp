@@ -126,10 +126,6 @@ Status NodeProfiler::initialize() {
 void NodeProfiler::collect_now() {
   ++polls_;
   if (polls_metric_ != nullptr) polls_metric_->inc();
-  obs::Tracer::Span poll_span;
-  if (options_.tracer != nullptr) {
-    poll_span = options_.tracer->span("moneq.poll");
-  }
   bool all_delivered = true;
   for (std::size_t i = 0; i < backends_.size(); ++i) {
     if (!poll_backend(i)) all_delivered = false;
@@ -173,10 +169,6 @@ bool NodeProfiler::poll_backend(std::size_t i) {
   std::string failure_reason;
   int retries_used = 0;
   for (;;) {
-    obs::Tracer::Span query_span;
-    if (options_.tracer != nullptr) {
-      query_span = options_.tracer->span("backend.query", std::string(backend->name()));
-    }
     const sim::Duration cost_before = collect_cost_.total();
     auto result = backend->collect(now, collect_cost_);
     const sim::Duration attempt_cost = collect_cost_.total() - cost_before;
@@ -184,7 +176,6 @@ bool NodeProfiler::poll_backend(std::size_t i) {
       metrics.queries->inc();
       metrics.latency_ms->observe(attempt_cost.to_millis());
     }
-    query_span.end();
     if (retries_used > 0) health.spend_retry(attempt_cost);
     if (result) {
       for (auto& sample : result.value()) {
@@ -193,9 +184,6 @@ bool NodeProfiler::poll_backend(std::size_t i) {
         if (total_samples() >= options_.max_samples) {
           ++dropped_;
           if (dropped_metric_ != nullptr) dropped_metric_->inc();
-          if (options_.tracer != nullptr) {
-            options_.tracer->event("moneq.sample_dropped", sample.domain);
-          }
           continue;
         }
         samples_.push_back(std::move(sample));
@@ -218,17 +206,11 @@ bool NodeProfiler::poll_backend(std::size_t i) {
     health.on_poll_failure(now);
     if (!gap_open_[i]) open_gap(i, failure_reason);
   }
-  if (health.state() != before) {
-    const std::string transition = std::string(backend->name()) + ": " +
-                                   std::string(to_string(before)) + " -> " +
-                                   std::string(to_string(health.state()));
-    if (options_.tracer != nullptr) {
-      options_.tracer->event("backend.health", transition);
-    }
-    if (options_.recorder != nullptr) {
-      options_.recorder->record(now, options_.recorder_node, "health", "backend.health",
-                                transition);
-    }
+  if (health.state() != before && options_.recorder != nullptr) {
+    options_.recorder->record(now, options_.recorder_node, "health", "backend.health",
+                              std::string(backend->name()) + ": " +
+                                  std::string(to_string(before)) + " -> " +
+                                  std::string(to_string(health.state())));
   }
   if (metrics.health != nullptr) {
     metrics.health->set(static_cast<double>(health.state()));

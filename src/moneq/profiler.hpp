@@ -30,7 +30,6 @@
 #include "moneq/sample.hpp"
 #include "obs/metrics.hpp"
 #include "obs/recorder.hpp"
-#include "obs/span.hpp"
 #include "sim/cost.hpp"
 #include "sim/engine.hpp"
 #include "smpi/smpi.hpp"
@@ -51,9 +50,6 @@ struct ProfilerOptions {
   // Estimated bytes per recorded sample in the output file (sizing the
   // finalize write).
   double bytes_per_sample = 34.0;
-  // When set, each poll opens a span with one child span per backend
-  // query, and dropped samples become ring-buffer events.
-  obs::Tracer* tracer = nullptr;
   // Registry receiving the profiler's self-observability series; nullptr
   // means the process-global default registry.  Fleet nodes pass their
   // own partition so hierarchical rollups stay deterministic.

@@ -148,9 +148,6 @@ void EnvDatabase::note_accept(const Record& record, std::uint32_t sid) {
   last_ts_ns_ = ts;
   ++total_rows_;
   ++generation_;
-  if (tracer_ != nullptr) {
-    tracer_->event_at(record.timestamp, "tsdb.insert", record.metric);
-  }
 }
 
 std::uint32_t EnvDatabase::ensure_series(const Location& location, MetricId metric) {
@@ -164,34 +161,11 @@ std::uint32_t EnvDatabase::ensure_series(const Location& location, MetricId metr
   return slot;
 }
 
-void EnvDatabase::append_row(const Record& record, MetricId metric) {
-  note_accept(record, ensure_series(record.location, metric));
-}
-
 Status EnvDatabase::insert(const Record& record) {
-  if (fault_hook_.attached()) {
-    const fault::Outcome fo = fault_hook_.intercept();
-    if (!fo.ok()) {
-      ++rejected_;
-      if (rejected_metric_ != nullptr) rejected_metric_->inc();
-      return fo.status;
-    }
+  // One row: at most one reject category is non-zero.
+  for (const auto& [code, count] : insert_batch({&record, 1}).by_code()) {
+    if (count > 0) return Status(code, "environmental database rejected the insert");
   }
-  if (any_accepted_ && record.timestamp.ns() < last_ts_ns_) {
-    ++rejected_;
-    if (rejected_metric_ != nullptr) rejected_metric_->inc();
-    // Static message: the hot reject path must not format the timestamp.
-    return Status::invalid_argument("out-of-order insert");
-  }
-  if (!is_self_metric(record.metric) && over_ingest_rate(record.timestamp)) {
-    ++rejected_;
-    if (rejected_metric_ != nullptr) rejected_metric_->inc();
-    return Status::resource_exhausted("environmental database ingest rate ceiling exceeded");
-  }
-  append_row(record, metrics_.intern(record.metric));
-  if (inserts_metric_ != nullptr) inserts_metric_->inc();
-  if (options_.retention) vacuum();
-  after_durable_write();
   return Status::ok();
 }
 
@@ -245,7 +219,10 @@ EnvDatabase::BatchResult EnvDatabase::insert_batch(std::span<const Record> recor
         run_metric_known = true;
       }
       run_sid = ensure_series(record.location, run_metric);
-      series_[run_sid].reserve_head(run_end - i);
+      // A one-row batch (every insert()) leaves the head to append()'s
+      // geometric growth: an exact reserve would reallocate a full head
+      // on every call.
+      if (n > 1) series_[run_sid].reserve_head(run_end - i);
     }
     note_accept(record, run_sid);
     ++result.accepted;

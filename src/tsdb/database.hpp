@@ -56,7 +56,6 @@
 #include "common/status.hpp"
 #include "fault/injector.hpp"
 #include "obs/metrics.hpp"
-#include "obs/span.hpp"
 #include "sim/time.hpp"
 #include "tsdb/block.hpp"
 #include "tsdb/location.hpp"
@@ -146,15 +145,11 @@ class EnvDatabase {
   // disabled.
   explicit EnvDatabase(DatabaseOptions options = {});
 
-  // When attached, every accepted insert lands on the tracer's event
-  // ring (at the record's own timestamp — the db has no clock).
-  void attach_tracer(obs::Tracer* tracer) { tracer_ = tracer; }
-
   /// Routes inserts through `injector` (site fault::sites::kTsdb by
-  /// default): an injected failure rejects the insert — one intercept
-  /// per insert() and per insert_batch() call, modeling the DB2 server
-  /// being unreachable.  The store has no cost meter, so delay and
-  /// corruption schedules are ignored here.
+  /// default): an injected failure rejects the whole batch — one
+  /// intercept per insert_batch() call (insert() is a one-row batch),
+  /// modeling the DB2 server being unreachable.  The store has no cost
+  /// meter, so delay and corruption schedules are ignored here.
   void attach_fault_hook(fault::Injector& injector,
                          std::string site = std::string(fault::sites::kTsdb)) {
     fault_hook_.attach(injector, std::move(site));
@@ -209,8 +204,10 @@ class EnvDatabase {
   // evicted.  Runs automatically when max_resident_sealed_bytes is set.
   std::size_t evict_sealed_blocks(std::size_t target_bytes);
 
-  // Inserts one record.  Fails with kResourceExhausted when the ingest
-  // rate ceiling is exceeded, kInvalidArgument when out of order.
+  // Inserts one record: a one-row insert_batch() whose one reject
+  // category maps to its by_code() status — kInvalidArgument when out of
+  // order, kResourceExhausted over the ingest rate ceiling, kUnavailable
+  // during an injected outage.
   Status insert(const Record& record);
 
   // Batch ingest: per-record validation with skip-and-continue semantics
@@ -371,7 +368,6 @@ class EnvDatabase {
 
   [[nodiscard]] bool over_ingest_rate(sim::SimTime now);
   void note_accept(const Record& record, std::uint32_t sid);
-  void append_row(const Record& record, MetricId metric);
   // Resolves (location, metric) to a series id, creating the series —
   // store-attached when durable — on first use.
   std::uint32_t ensure_series(const Location& location, MetricId metric);
@@ -414,7 +410,7 @@ class EnvDatabase {
   ShardIndex index_;
   std::unique_ptr<Durable> durable_;
   RecoveryInfo recovery_;
-  bool replaying_ = false;  // inside recover(): no re-logging, no tracer
+  bool replaying_ = false;  // inside recover(): no re-logging
 
   // Accepted-record timestamps inside the rate window, trimmed lazily
   // from the front (time only moves forward).  Unlike the flat store's
@@ -456,7 +452,6 @@ class EnvDatabase {
   obs::Gauge* disk_bytes_gauge_ = nullptr;
   obs::Gauge* recovery_seconds_gauge_ = nullptr;
   obs::Counter* decode_rows_metric_ = nullptr;
-  obs::Tracer* tracer_ = nullptr;
   fault::Hook fault_hook_;
 };
 

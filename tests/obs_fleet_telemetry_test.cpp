@@ -9,8 +9,9 @@
 //     up the BG/Q packaging tree deterministically: the fleet rollup's
 //     JSON rendering is byte-identical at 1, 2, and 8 worker threads.
 //   * FlightRecorder is a bounded ring (per event class), its post-mortem
-//     dump is golden-testable, and a scripted quarantine produces the
-//     same dump at any worker count.
+//     dump is golden-testable, the injector and profiler hooks record
+//     fault and health events with their node and virtual time, and a
+//     scripted quarantine produces the same dump at any worker count.
 //   * Self-scrape rows land in the environmental database each epoch
 //     under the reserved envmon.self.* namespace, queryable like any
 //     other series but exempt from the modeled ingest-rate ceiling.
@@ -20,12 +21,17 @@
 #include <string>
 #include <vector>
 
+#include "fault/injector.hpp"
 #include "fleet/api.hpp"
+#include "moneq/backend_rapl.hpp"
 #include "moneq/output.hpp"
+#include "moneq/profiler.hpp"
 #include "obs/export.hpp"
 #include "obs/fleet_telemetry.hpp"
 #include "obs/metrics.hpp"
 #include "obs/recorder.hpp"
+#include "rapl/reader.hpp"
+#include "sim/engine.hpp"
 #include "tsdb/database.hpp"
 
 namespace envmon {
@@ -231,6 +237,65 @@ TEST(FlightRecorder, PostMortemGoldenOutput) {
   EXPECT_EQ(empty_dump,
             "{\n  \"trigger\": \"manual\",\n  \"events\": [],\n"
             "  \"recorded\": 0,\n  \"dropped\": 0\n}\n");
+}
+
+// The two hooks that feed a recorder outside the fleet: the injector's
+// fault.inject events and the profiler's backend.health transitions,
+// each tagged with the caller's node and stamped on the virtual clock.
+TEST(FlightRecorder, InjectorAndProfilerHooksRecordFaultsAndHealth) {
+  constexpr int kNode = 7;
+  sim::Engine engine;
+  obs::FlightRecorder recorder;
+  fault::Injector injector(engine);
+  injector.attach_recorder(&recorder, kNode);
+  injector.fail_between(fault::sites::kRaplMsr, SimTime::from_seconds(1),
+                        SimTime::from_seconds(10), StatusCode::kUnavailable, "msr gone");
+
+  rapl::CpuPackage package(engine);
+  rapl::MsrRaplReader reader(package, rapl::Credentials{true, 0});
+  reader.attach_fault_hook(injector);
+  moneq::RaplBackend backend(reader);
+
+  // No retries and quarantine after two failed polls: the polls at 1.0 s
+  // and 1.1 s fail once each, and the 1 s backoff outlasts the run.
+  moneq::ProfilerOptions options;
+  options.recorder = &recorder;
+  options.recorder_node = kNode;
+  options.degradation.retries_per_poll = 0;
+  options.degradation.polls_to_quarantine = 2;
+  options.degradation.backoff_base = Duration::seconds(1);
+  smpi::World world(1);
+  moneq::NodeProfiler profiler(engine, world, 0, options);
+  ASSERT_TRUE(profiler.add_backend(backend).is_ok());
+  ASSERT_TRUE(profiler.set_polling_interval(Duration::millis(100)).is_ok());
+  ASSERT_TRUE(profiler.initialize().is_ok());
+  engine.run_until(SimTime::from_seconds(1.5));
+  ASSERT_EQ(profiler.backend_health(0).state(), moneq::BackendState::kQuarantined);
+
+  struct Expected {
+    double t;
+    const char* category;
+    const char* name;
+    const char* detail;
+  };
+  const Expected expected[] = {
+      {1.0, "fault", "fault.inject", "rapl_msr: window"},
+      {1.0, "health", "backend.health", "rapl_msr: healthy -> degraded"},
+      {1.1, "fault", "fault.inject", "rapl_msr: window"},
+      {1.1, "health", "backend.health", "rapl_msr: degraded -> quarantined"},
+  };
+  const auto events = recorder.events();
+  ASSERT_EQ(events.size(), std::size(expected));
+  for (std::size_t i = 0; i < events.size(); ++i) {
+    SCOPED_TRACE(i);
+    EXPECT_EQ(events[i].t, SimTime::from_seconds(expected[i].t));
+    EXPECT_EQ(events[i].node, kNode);
+    EXPECT_EQ(events[i].category, expected[i].category);
+    EXPECT_EQ(events[i].name, expected[i].name);
+    EXPECT_EQ(events[i].detail, expected[i].detail);
+  }
+  EXPECT_EQ(recorder.dropped(), 0u);
+  EXPECT_EQ(injector.injected(fault::sites::kRaplMsr), 2u);
 }
 
 // ---------------------------------------------------------------------------
