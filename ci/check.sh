@@ -29,8 +29,11 @@
 #      are the UBSan workload for the bit-level kernels);
 #   9. TSan build of the same labels — the fleet suite's 8-worker
 #      byte-equality tests, the daemon suite's multi-client
-#      server/client runs, and the tsdb suite's 4-thread query oracle
-#      double as its data-race workload.
+#      server/client runs, and the tsdb suite's 4-thread query tests
+#      (EnvDatabaseBlocks.ParallelQueryMatchesSerialAcrossThreadCounts
+#      and EnvDatabaseBlocks.QueryReturnsRowsInInsertionOrderAtAnyThreadCount,
+#      the parallel materialize sink's race workload) double as its
+#      data-race workload.
 #
 # Usage: ci/check.sh [--tier1-only]
 # Build trees land in build/ (tier 1), build-asan/, and build-tsan/.

@@ -11,6 +11,7 @@
 #include <filesystem>
 #include <thread>
 
+#include "tsdb/seq_order.hpp"
 #include "tsdb/simd.hpp"
 
 namespace envmon::tsdb {
@@ -407,10 +408,11 @@ std::vector<Record> EnvDatabase::query(const QueryFilter& filter) const {
 
   // Materialize sink.  Parts fan out over workers; each part writes its
   // own output slot and each worker reads through its own cursor, so
-  // workers share nothing mutable.  The final merge sorts on the
-  // globally unique insertion sequence, which makes the result
-  // byte-identical at any thread count (and identical to the flat
-  // timestamp-ordered scan, since inserts are time-ordered).
+  // workers share nothing mutable.  The gathered rows are then radix-
+  // ordered on the globally unique insertion sequence (seq_order.hpp),
+  // which makes the result byte-identical at any thread count (and
+  // identical to the flat timestamp-ordered scan, since inserts are
+  // time-ordered).
   std::size_t workers = 1;
   if (options_.query_threads > 1 && parts.size() > 1 &&
       est >= options_.parallel_query_min_rows) {
@@ -455,8 +457,7 @@ std::vector<Record> EnvDatabase::query(const QueryFilter& filter) const {
   std::vector<DecodedRow> rows;
   rows.reserve(counts.rows_scanned);
   for (const auto& slot : slots) rows.insert(rows.end(), slot.begin(), slot.end());
-  std::sort(rows.begin(), rows.end(),
-            [](const DecodedRow& a, const DecodedRow& b) { return a.seq < b.seq; });
+  detail::order_by_seq(rows);
 
   std::vector<Record> out;
   out.reserve(rows.size());

@@ -26,15 +26,17 @@
 // timestamps once and narrows to the window's rows (a head is read in
 // place), then serves timestamps, seq, and values by 16-row subchunk.
 // The sinks: query() materializes rows, fanning parts over a small
-// worker pool (query_threads) and merging on the global insertion
-// sequence — byte-identical to a flat timestamp-ordered scan at any
-// thread count; downsample() folds subchunks into buckets, taking a
-// subchunk a bucket fully covers from its precomputed sum (aggregation
-// pushdown); aggregate() takes a block the window fully covers from its
-// summary before opening any part — it trusts the summary, so it neither
-// loads nor quarantines an evicted block it fully covers.  Aggregation
-// is defined at subchunk granularity (DESIGN.md §10), which makes the
-// pushdown, full-decode, compressed, and raw paths bit-identical.
+// worker pool (query_threads), then puts them in global insertion order
+// with a stable LSD radix sort on seq (seq_order.hpp: O(passes · n), no
+// comparisons, one scratch buffer) — byte-identical to a flat
+// timestamp-ordered scan at any thread count; downsample() folds
+// subchunks into buckets, taking a subchunk a bucket fully covers from
+// its precomputed sum (aggregation pushdown); aggregate() takes a block
+// the window fully covers from its summary before opening any part — it
+// trusts the summary, so it neither loads nor quarantines an evicted
+// block it fully covers.  Aggregation is defined at subchunk
+// granularity (DESIGN.md §10), which makes the pushdown, full-decode,
+// compressed, and raw paths bit-identical.
 // Downsample results are memoized in a small LRU cache keyed by
 // (filter, bucket width), invalidated by any mutation — including
 // retention drops.

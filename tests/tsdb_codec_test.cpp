@@ -6,11 +6,14 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <bit>
 #include <cmath>
 #include <cstdint>
 #include <limits>
 #include <random>
+#include <span>
+#include <utility>
 #include <vector>
 
 #include "common/rng.hpp"
@@ -18,6 +21,7 @@
 #include "tsdb/block.hpp"
 #include "tsdb/codec.hpp"
 #include "tsdb/database.hpp"
+#include "tsdb/seq_order.hpp"
 #include "tsdb/series.hpp"
 #include "tsdb/simd.hpp"
 
@@ -478,6 +482,72 @@ TEST(Series, HeadRangeBinarySearchesBothBounds) {
   EXPECT_EQ(none.size(), 0u);
 }
 
+// ----------------------------------------------------------- seq order
+
+struct SeqRow {
+  std::uint64_t seq = 0;
+  std::size_t input = 0;  // position before ordering: pins stability
+};
+
+TEST(SeqOrder, PassCountFollowsTheSeqSpanBitWidth) {
+  using detail::kSeqDigitBits;
+  using detail::seq_radix_passes;
+  EXPECT_EQ(seq_radix_passes(0), 0u);
+  EXPECT_EQ(seq_radix_passes(1), 1u);
+  for (unsigned passes = 1; passes <= 3; ++passes) {
+    const std::uint64_t boundary = std::uint64_t{1} << (passes * kSeqDigitBits);
+    EXPECT_EQ(seq_radix_passes(boundary - 1), passes);
+    EXPECT_EQ(seq_radix_passes(boundary), passes + 1);
+  }
+  EXPECT_EQ(seq_radix_passes(std::numeric_limits<std::uint64_t>::max()), 6u);
+}
+
+TEST(SeqOrder, RadixOrderMatchesStableSortAcrossDigitBoundaries) {
+  // Rows whose seqs fill [base, base + span] with both ends present and
+  // some repeated, in shuffled order; the reference is std::stable_sort.
+  // The spans sit just below and at each digit boundary up to three
+  // passes, and at the full 64-bit range: six passes, whose shifts must
+  // stay below 64 (UBSan flags one that does not).
+  constexpr std::uint64_t kMax = std::numeric_limits<std::uint64_t>::max();
+  std::vector<std::pair<std::uint64_t, std::uint64_t>> cases;  // (base, span)
+  for (unsigned passes = 1; passes <= 3; ++passes) {
+    const std::uint64_t boundary = std::uint64_t{1} << (passes * detail::kSeqDigitBits);
+    for (const std::uint64_t span : {boundary - 1, boundary}) {
+      cases.emplace_back(0, span);
+      cases.emplace_back(1'000'003, span);
+      cases.emplace_back(kMax - span, span);
+    }
+  }
+  cases.emplace_back(0, kMax);
+  cases.emplace_back(kMax - 5, 5);
+  cases.emplace_back(42, 0);
+  std::mt19937_64 rng(18);
+  for (const auto& [base, span] : cases) {
+    for (const std::size_t n : {0u, 1u, 2u, 3000u}) {
+      SCOPED_TRACE(testing::Message() << "base " << base << " span " << span << " n " << n);
+      std::vector<SeqRow> rows;
+      for (std::size_t i = 0; i < n; ++i) {
+        std::uint64_t seq = base + (span == kMax ? rng() : rng() % (span + 1));
+        if (i == 1) seq = base + span;
+        if (i == 0) seq = base;
+        if (i > 2 && i % 7 == 0) seq = rows[i / 2].seq;
+        rows.push_back(SeqRow{seq, 0});
+      }
+      std::shuffle(rows.begin(), rows.end(), rng);
+      for (std::size_t i = 0; i < n; ++i) rows[i].input = i;
+      std::vector<SeqRow> expected = rows;
+      std::stable_sort(expected.begin(), expected.end(),
+                       [](const SeqRow& a, const SeqRow& b) { return a.seq < b.seq; });
+      detail::order_by_seq(rows);
+      ASSERT_EQ(rows.size(), n);
+      for (std::size_t i = 0; i < n; ++i) {
+        ASSERT_EQ(rows[i].seq, expected[i].seq) << "row " << i;
+        ASSERT_EQ(rows[i].input, expected[i].input) << "row " << i;
+      }
+    }
+  }
+}
+
 // ------------------------------------------------------------ database
 
 Record rec(double t_s, int board, const char* metric, double value) {
@@ -659,9 +729,10 @@ TEST(EnvDatabaseBlocks, BatchReservesHeadForRunsWithoutChangingResults) {
 }
 
 TEST(EnvDatabaseBlocks, ParallelQueryMatchesSerialAcrossThreadCounts) {
-  // The worker pool decodes scan parts concurrently and merges on the
-  // insertion sequence, so output is byte-identical at any thread count.
-  // This is the TSan workload for the parallel executor.
+  // The worker pool decodes scan parts concurrently and the rows are
+  // then radix-ordered on the insertion sequence, so output is
+  // byte-identical at any thread count.  This is the TSan workload for
+  // the parallel executor.
   DatabaseOptions serial_opts;
   DatabaseOptions parallel_opts;
   parallel_opts.query_threads = 4;
@@ -688,6 +759,89 @@ TEST(EnvDatabaseBlocks, ParallelQueryMatchesSerialAcrossThreadCounts) {
       EXPECT_EQ(a[i].location, b[i].location);
       EXPECT_EQ(std::bit_cast<std::uint64_t>(a[i].value),
                 std::bit_cast<std::uint64_t>(b[i].value));
+    }
+  }
+}
+
+TEST(EnvDatabaseBlocks, QueryReturnsRowsInInsertionOrderAtAnyThreadCount) {
+  // query() orders its rows by the global insertion sequence.  The
+  // reference is independent of the engine: the accepted records in
+  // insertion order (which is seq order), filtered by the query.  The
+  // windows give results of 0 and 1 rows and seq spans just below and
+  // at the first radix digit boundary (2^11), over sealed blocks and
+  // heads of eight series; the 4-thread store engages its pool on every
+  // read.  With ParallelQueryMatchesSerialAcrossThreadCounts this is
+  // the TSan workload for the parallel materialize sink.
+  constexpr int kRows = (1 << 11) + 64;
+  DatabaseOptions serial_opts;
+  serial_opts.parallel_query_min_rows = 1;
+  DatabaseOptions parallel_opts = serial_opts;
+  parallel_opts.query_threads = 4;
+  EnvDatabase serial(serial_opts);
+  EnvDatabase parallel(parallel_opts);
+  std::vector<Record> accepted;
+  for (int i = 0; i < kRows; ++i) {
+    accepted.push_back(rec(0.25 * i, i % 8, i % 2 == 0 ? "power_w" : "temp_c",
+                           20.0 + 0.5 * (i % 37)));
+  }
+  // Three insert phases with seals between: every series ends with two
+  // sealed blocks and a head.
+  for (const auto& [lo, hi] : {std::pair{0, 700}, std::pair{700, 1400}, std::pair{1400, kRows}}) {
+    const std::span<const Record> phase(accepted.data() + lo, accepted.data() + hi);
+    ASSERT_TRUE(serial.insert_batch(phase).all_accepted());
+    ASSERT_TRUE(parallel.insert_batch(phase).all_accepted());
+    if (hi < kRows) {
+      serial.seal_blocks();
+      parallel.seal_blocks();
+    }
+  }
+
+  const auto at = [](int row) { return SimTime::from_seconds(0.25 * row); };
+  const auto window = [&](int first, int last) {
+    QueryFilter f;
+    f.from = at(first);
+    f.to = at(last);
+    return f;
+  };
+  std::vector<std::pair<const char*, QueryFilter>> cases = {
+      {"everything", QueryFilter{}},
+      {"after the last row", window(kRows, kRows + 10)},
+      {"one row", window(1234, 1234)},
+      {"seq span 2^11 - 1", window(0, (1 << 11) - 1)},
+      {"seq span 2^11", window(0, 1 << 11)},
+      {"seq span 2^11 - 1, offset", window(37, 37 + (1 << 11) - 1)},
+      {"seq span 2^11, offset", window(37, 37 + (1 << 11))},
+  };
+  QueryFilter metric = window(1, 1 << 11);  // even rows 2 .. 2^11
+  metric.metric = "power_w";
+  cases.emplace_back("one metric", metric);
+  QueryFilter unknown;
+  unknown.metric = "fan_rpm";
+  cases.emplace_back("unknown metric", unknown);
+  QueryFilter board;
+  board.location_prefix = board_location(0, 0, 3);
+  cases.emplace_back("one board", board);
+
+  for (const auto& [name, f] : cases) {
+    SCOPED_TRACE(name);
+    std::vector<Record> expected;
+    for (const Record& r : accepted) {
+      if (f.location_prefix && !f.location_prefix->contains(r.location)) continue;
+      if (f.metric && *f.metric != r.metric) continue;
+      if (f.from && r.timestamp < *f.from) continue;
+      if (f.to && *f.to < r.timestamp) continue;
+      expected.push_back(r);
+    }
+    for (const EnvDatabase* db : {&serial, &parallel}) {
+      const auto got = db->query(f);
+      ASSERT_EQ(got.size(), expected.size());
+      for (std::size_t i = 0; i < got.size(); ++i) {
+        EXPECT_EQ(got[i].timestamp, expected[i].timestamp);
+        EXPECT_EQ(got[i].location, expected[i].location);
+        EXPECT_EQ(got[i].metric, expected[i].metric);
+        EXPECT_EQ(std::bit_cast<std::uint64_t>(got[i].value),
+                  std::bit_cast<std::uint64_t>(expected[i].value));
+      }
     }
   }
 }
