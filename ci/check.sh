@@ -12,22 +12,23 @@
 #   4. daemon smoke: a real envmond process serves three concurrent
 #      clients over its Unix socket, then the in-process variant also
 #      gates frame-log replay identity (DESIGN.md §14's gate);
-#   5. codec decode smoke: the decode kernels bit-identical to the
-#      reference decoders on the sensor-shaped column and timestamp
-#      stream (DESIGN.md §15's identity contract; the throughput gate
-#      itself runs under the Bench configuration);
-#   6. observability demo: examples/observability_demo must exit 0 and
+#   5. observability demo: examples/observability_demo must exit 0 and
 #      print its post-mortem — the one end-to-end run of the obs
 #      exports and the flight recorder dump;
-#   7. property sweep: the `prop` label re-runs at an elevated case
-#      count (the tier-1 pass already ran the defaults);
-#   8. ASan+UBSan build of the obs + fleet + persist + daemon + prop +
-#      tsdb labels (the suites that exercise the telemetry rollup,
-#      flight recorders, the ingest path, the durable storage layer, the
-#      wire protocol, the randomized codec/fold/engine properties, and
-#      the scan pipeline's read path — the garbage-decode properties
-#      are the UBSan workload for the bit-level kernels);
-#   9. TSan build of the same labels — the fleet suite's 8-worker
+#   6. property sweep: the `prop` label re-runs at an elevated case
+#      count (the tier-1 pass already ran the defaults).  The label
+#      also holds the decode kernels bit-identical to the reference
+#      decoders on the sensor-shaped column and timestamp stream
+#      (PropCodec.SensorColumnAndCadenceStreamDecodeBitIdentical,
+#      DESIGN.md §15's identity contract) in every pass that runs it;
+#   7. ASan+UBSan build of the obs + fleet + persist + daemon + prop +
+#      tsdb + resilience labels (the suites that exercise the telemetry
+#      rollup, flight recorders, the ingest path, the durable storage
+#      layer, the wire protocol, the randomized codec/fold/engine
+#      properties, the scan pipeline's read path, and graceful
+#      degradation under the seeded fault storm — the garbage-decode
+#      properties are the UBSan workload for the bit-level kernels);
+#   8. TSan build of the same labels — the fleet suite's 8-worker
 #      byte-equality tests, the daemon suite's multi-client
 #      server/client runs, and the tsdb suite's 4-thread query tests
 #      (EnvDatabaseBlocks.ParallelQueryMatchesSerialAcrossThreadCounts
@@ -42,7 +43,7 @@ set -euo pipefail
 cd "$(dirname "$0")/.."
 
 JOBS="$(nproc 2>/dev/null || echo 4)"
-SANITIZED_LABELS='obs|fleet|persist|daemon|prop|tsdb'
+SANITIZED_LABELS='obs|fleet|persist|daemon|prop|tsdb|resilience'
 # High-case-count sweep for the dedicated property pass; the sanitizer
 # passes keep the default counts so the matrix stays fast.
 PROP_SWEEP_CASES=2000
@@ -82,9 +83,6 @@ kill -TERM "${DAEMON_PID}" 2>/dev/null || true
 wait "${DAEMON_PID}" 2>/dev/null || true
 ./build/bench/daemon_ingest --smoke
 
-echo "== codec decode smoke: the decode kernels bit-identical to the reference =="
-./build/bench/codec_decode --smoke
-
 echo "== observability demo: exports + flight recorder post-mortem =="
 DEMO_OUT="$(./build/examples/observability_demo)"
 grep -q -- "----- Post-mortem" <<<"${DEMO_OUT}"
@@ -107,4 +105,4 @@ run_suite build-tsan "TSan" -DENVMON_TSAN=ON
 echo "== TSan: ctest -L '${SANITIZED_LABELS}' =="
 ctest --test-dir build-tsan --output-on-failure -j "${JOBS}" -L "${SANITIZED_LABELS}"
 
-echo "OK: tier 1 + sanitized obs/fleet suites all green"
+echo "OK: tier 1 + sanitized suites all green"

@@ -15,7 +15,8 @@
 // flapping draws from a per-site RNG forked from one seed by a stable
 // hash of the site name, and time comes from the discrete-event engine —
 // so a fault storm replays bit-identically given the same seed
-// (the property bench/resilience_storm gates on).
+// (the property Resilience.NvmlStormReplaysExactlyAndSparesSurvivors
+// gates on).
 
 #include <cstdint>
 #include <map>

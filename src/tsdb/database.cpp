@@ -50,6 +50,76 @@ constexpr std::uint32_t kMaxCheckpointSeries = 1u << 24;
 constexpr std::uint32_t kMaxCheckpointBlocks = 1u << 24;
 constexpr std::uint32_t kMaxCheckpointWindow = 1u << 27;
 
+void write_location(wire::Writer& w, const Location& loc) {
+  w.i32(loc.rack);
+  w.i32(loc.midplane);
+  w.i32(loc.board);
+  w.i32(loc.card);
+}
+
+Location read_location(wire::Reader& r) {
+  Location loc;
+  loc.rack = r.i32();
+  loc.midplane = r.i32();
+  loc.board = r.i32();
+  loc.card = r.i32();
+  return loc;
+}
+
+// One sealed block's durable reference (DESIGN.md §13.5): its summary,
+// the extent holding its payload, and its seq sidecar.  The seal frame
+// and the checkpoint both carry it in this one layout.
+struct SealedRef {
+  BlockSummary sum;
+  ExtentRef ref;
+  std::span<const std::uint8_t> seq;
+};
+
+void write_sealed_ref(wire::Writer& w, const BlockSummary& sum, const ExtentRef& ref,
+                      std::span<const std::uint8_t> seq) {
+  w.u32(sum.rows);
+  w.u32(sum.finite_rows);
+  w.i64(sum.ts_min);
+  w.i64(sum.ts_max);
+  w.u64(sum.seq_first);
+  w.u64(sum.seq_last);
+  w.f64(sum.value_min);
+  w.f64(sum.value_max);
+  w.f64(sum.value_sum);
+  w.f64(sum.value_sum_sq);
+  w.u32(ref.segment_id);
+  w.u64(ref.offset);
+  w.u32(ref.length);
+  w.u32(ref.crc);
+  w.u64(ref.hash.hi);
+  w.u64(ref.hash.lo);
+  w.blob(seq);
+}
+
+// False on a short read or on a row count no sealed block can have.
+bool read_sealed_ref(wire::Reader& r, SealedRef& out) {
+  BlockSummary& sum = out.sum;
+  sum.rows = r.u32();
+  sum.finite_rows = r.u32();
+  sum.ts_min = r.i64();
+  sum.ts_max = r.i64();
+  sum.seq_first = r.u64();
+  sum.seq_last = r.u64();
+  sum.value_min = r.f64();
+  sum.value_max = r.f64();
+  sum.value_sum = r.f64();
+  sum.value_sum_sq = r.f64();
+  out.ref.segment_id = r.u32();
+  out.ref.offset = r.u64();
+  out.ref.length = r.u32();
+  out.ref.crc = r.u32();
+  out.ref.hash.hi = r.u64();
+  out.ref.hash.lo = r.u64();
+  out.seq = r.blob();
+  return r.ok() && sum.rows != 0 && sum.rows <= Block::kMaxRows &&
+         sum.finite_rows <= sum.rows;
+}
+
 }  // namespace
 
 EnvDatabase::EnvDatabase(DatabaseOptions options) : options_(options) {
@@ -912,30 +982,10 @@ void EnvDatabase::dlog_seal(std::uint32_t sid) {
   // No extent (store I/O failure): the block stays memory-resident and
   // its rows recover from the WAL as head rows instead.
   if (ref == nullptr) return;
-  const BlockSummary& sum = s.block_summary(bi);
   wire::Writer w;
-  w.i32(s.location().rack);
-  w.i32(s.location().midplane);
-  w.i32(s.location().board);
-  w.i32(s.location().card);
+  write_location(w, s.location());
   w.u32(s.metric());
-  w.u32(sum.rows);
-  w.u32(sum.finite_rows);
-  w.i64(sum.ts_min);
-  w.i64(sum.ts_max);
-  w.u64(sum.seq_first);
-  w.u64(sum.seq_last);
-  w.f64(sum.value_min);
-  w.f64(sum.value_max);
-  w.f64(sum.value_sum);
-  w.f64(sum.value_sum_sq);
-  w.u32(ref->segment_id);
-  w.u64(ref->offset);
-  w.u32(ref->length);
-  w.u32(ref->crc);
-  w.u64(ref->hash.hi);
-  w.u64(ref->hash.lo);
-  w.blob(s.block_seq_stream(bi));
+  write_sealed_ref(w, s.block_summary(bi), *ref, s.block_seq_stream(bi));
   dlog_frame(WalRecordType::kSeal, w.span());
   durable_->barrier = true;
 }
@@ -988,10 +1038,7 @@ void EnvDatabase::encode_checkpoint(wire::Writer& w) const {
   for (MetricId id = 0; id < metrics_.size(); ++id) w.str(metrics_.name(id));
   w.u32(static_cast<std::uint32_t>(series_.size()));
   for (const Series& s : series_) {
-    w.i32(s.location().rack);
-    w.i32(s.location().midplane);
-    w.i32(s.location().board);
-    w.i32(s.location().card);
+    write_location(w, s.location());
     w.u32(s.metric());
     std::uint32_t durable_blocks = 0;
     for (std::size_t b = 0; b < s.block_count(); ++b) {
@@ -1001,24 +1048,7 @@ void EnvDatabase::encode_checkpoint(wire::Writer& w) const {
     for (std::size_t b = 0; b < s.block_count(); ++b) {
       const ExtentRef* ref = s.block_ref(b);
       if (ref == nullptr) continue;  // store-failure straggler: unrecoverable
-      const BlockSummary& sum = s.block_summary(b);
-      w.u32(sum.rows);
-      w.u32(sum.finite_rows);
-      w.i64(sum.ts_min);
-      w.i64(sum.ts_max);
-      w.u64(sum.seq_first);
-      w.u64(sum.seq_last);
-      w.f64(sum.value_min);
-      w.f64(sum.value_max);
-      w.f64(sum.value_sum);
-      w.f64(sum.value_sum_sq);
-      w.u32(ref->segment_id);
-      w.u64(ref->offset);
-      w.u32(ref->length);
-      w.u32(ref->crc);
-      w.u64(ref->hash.hi);
-      w.u64(ref->hash.lo);
-      w.blob(s.block_seq_stream(b));
+      write_sealed_ref(w, s.block_summary(b), *ref, s.block_seq_stream(b));
     }
     w.u32(static_cast<std::uint32_t>(s.head_rows()));
     for (std::size_t i = 0; i < s.head_rows(); ++i) {
@@ -1047,11 +1077,7 @@ bool EnvDatabase::decode_checkpoint(std::span<const std::uint8_t> payload) {
   const std::uint32_t nseries = r.u32();
   if (!r.ok() || nseries > kMaxCheckpointSeries) return false;
   for (std::uint32_t si = 0; si < nseries; ++si) {
-    Location loc;
-    loc.rack = r.i32();
-    loc.midplane = r.i32();
-    loc.board = r.i32();
-    loc.card = r.i32();
+    const Location loc = read_location(r);
     const std::uint32_t metric = r.u32();
     if (!r.ok() || metric >= metrics_.size()) return false;
     const std::uint32_t sid = ensure_series(loc, metric);
@@ -1060,32 +1086,11 @@ bool EnvDatabase::decode_checkpoint(std::span<const std::uint8_t> payload) {
     const std::uint32_t nblocks = r.u32();
     if (!r.ok() || nblocks > kMaxCheckpointBlocks) return false;
     for (std::uint32_t b = 0; b < nblocks; ++b) {
-      BlockSummary sum;
-      sum.rows = r.u32();
-      sum.finite_rows = r.u32();
-      sum.ts_min = r.i64();
-      sum.ts_max = r.i64();
-      sum.seq_first = r.u64();
-      sum.seq_last = r.u64();
-      sum.value_min = r.f64();
-      sum.value_max = r.f64();
-      sum.value_sum = r.f64();
-      sum.value_sum_sq = r.f64();
-      ExtentRef ref;
-      ref.segment_id = r.u32();
-      ref.offset = r.u64();
-      ref.length = r.u32();
-      ref.crc = r.u32();
-      ref.hash.hi = r.u64();
-      ref.hash.lo = r.u64();
-      const auto seq_bytes = r.blob();
-      if (!r.ok()) return false;
-      if (sum.rows == 0 || sum.rows > Block::kMaxRows || sum.finite_rows > sum.rows) {
-        return false;
-      }
-      if (!durable_->store.add_ref(ref).is_ok()) return false;
-      s.restore_sealed(sum, ref, std::vector<std::uint8_t>(seq_bytes.begin(), seq_bytes.end()));
-      total_rows_ += sum.rows;
+      SealedRef blk;
+      if (!read_sealed_ref(r, blk)) return false;
+      if (!durable_->store.add_ref(blk.ref).is_ok()) return false;
+      s.restore_sealed(blk.sum, blk.ref, std::vector<std::uint8_t>(blk.seq.begin(), blk.seq.end()));
+      total_rows_ += blk.sum.rows;
     }
     const std::uint32_t nhead = r.u32();
     if (!r.ok() || nhead > Block::kMaxRows) return false;
@@ -1260,10 +1265,7 @@ bool EnvDatabase::apply_wal_frame(WalRecordType type,
       for (std::uint32_t i = 0; i < count; ++i) {
         Row row;
         row.ts = r.i64();
-        row.loc.rack = r.i32();
-        row.loc.midplane = r.i32();
-        row.loc.board = r.i32();
-        row.loc.card = r.i32();
+        row.loc = read_location(r);
         row.metric = r.u32();
         row.value = r.f64();
         if (!r.ok() || row.metric >= metrics_.size()) return false;
@@ -1289,35 +1291,10 @@ bool EnvDatabase::apply_wal_frame(WalRecordType type,
     }
     case WalRecordType::kSeal: {
       wire::Reader r(payload);
-      Location loc;
-      loc.rack = r.i32();
-      loc.midplane = r.i32();
-      loc.board = r.i32();
-      loc.card = r.i32();
+      const Location loc = read_location(r);
       const std::uint32_t metric = r.u32();
-      BlockSummary sum;
-      sum.rows = r.u32();
-      sum.finite_rows = r.u32();
-      sum.ts_min = r.i64();
-      sum.ts_max = r.i64();
-      sum.seq_first = r.u64();
-      sum.seq_last = r.u64();
-      sum.value_min = r.f64();
-      sum.value_max = r.f64();
-      sum.value_sum = r.f64();
-      sum.value_sum_sq = r.f64();
-      ExtentRef ref;
-      ref.segment_id = r.u32();
-      ref.offset = r.u64();
-      ref.length = r.u32();
-      ref.crc = r.u32();
-      ref.hash.hi = r.u64();
-      ref.hash.lo = r.u64();
-      const auto seq_bytes = r.blob();
-      if (!r.done() || metric >= metrics_.size()) return false;
-      if (sum.rows == 0 || sum.rows > Block::kMaxRows || sum.finite_rows > sum.rows) {
-        return false;
-      }
+      SealedRef blk;
+      if (!read_sealed_ref(r, blk) || !r.done() || metric >= metrics_.size()) return false;
       // Validation creates nothing: a seal consumes head rows, so its
       // series must already exist from earlier insert frames or the
       // checkpoint — looked up without inserting, else a corrupt frame
@@ -1325,10 +1302,10 @@ bool EnvDatabase::apply_wal_frame(WalRecordType type,
       // in the index and the series gauge.
       const std::uint32_t sid = index_.find(loc, metric);
       if (sid == ShardIndex::kNoSeries) return false;
-      if (!durable_->store.add_ref(ref).is_ok()) return false;
-      std::vector<std::uint8_t> seq(seq_bytes.begin(), seq_bytes.end());
-      if (!series_[sid].adopt_sealed(sum, ref, std::move(seq), sum.rows)) {
-        durable_->store.release(ref);
+      if (!durable_->store.add_ref(blk.ref).is_ok()) return false;
+      std::vector<std::uint8_t> seq(blk.seq.begin(), blk.seq.end());
+      if (!series_[sid].adopt_sealed(blk.sum, blk.ref, std::move(seq), blk.sum.rows)) {
+        durable_->store.release(blk.ref);
         return false;
       }
       note_seal(1);

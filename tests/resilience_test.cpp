@@ -1,16 +1,23 @@
 // Graceful degradation under injected faults: the health state machine's
 // transitions, the bounded retry budget, gap markers surviving the
-// round trip through the node-file CSV, and each instrumented surface
-// honoring its fault hook.
+// round trip through the node-file CSV, each instrumented surface
+// honoring its fault hook, and a seeded fault storm that kills one
+// backend of three while the survivors keep collecting.
 
 #include <gtest/gtest.h>
 
+#include <memory>
+#include <set>
+#include <sstream>
 #include <string>
 #include <vector>
 
+#include "bgq/emon.hpp"
+#include "bgq/machine.hpp"
 #include "fault/injector.hpp"
 #include "ipmi/bmc.hpp"
 #include "mic/micras.hpp"
+#include "moneq/backend_bgq.hpp"
 #include "moneq/backend_mic.hpp"
 #include "moneq/backend_nvml.hpp"
 #include "moneq/csv_reader.hpp"
@@ -263,6 +270,152 @@ TEST(Resilience, TsdbHookRejectsInsertsDuringOutage) {
   EXPECT_EQ(result.rejected_unavailable, 2u);
   EXPECT_FALSE(result.all_accepted());
   EXPECT_EQ(db.size(), 1u);
+}
+
+// --- Fault storm: three backends, NVML killed mid-run ------------------
+//
+// The storm exercises every fault kind the injector scripts: a transient
+// error on the first poll, seeded flapping, latency spikes, corrupt
+// readings, then permanent device loss.  Everything runs on virtual
+// time, so every gate below is deterministic.
+
+constexpr double kStormRunSeconds = 30.0;
+constexpr std::uint64_t kStormSeed = 42;
+
+struct StormRun {
+  std::string file;  // rendered node file
+  std::vector<moneq::GapMarker> gaps;
+  Duration collection{};
+  std::uint64_t degraded_polls = 0;
+  std::uint64_t injected_total = 0;
+  BackendState nvml_state = BackendState::kHealthy;
+};
+
+StormRun run_storm_node(bool storm) {
+  sim::Engine engine;
+  fault::Injector injector(engine, kStormSeed);
+
+  // Survivors: the EMON session and the MICRAS daemon.
+  bgq::BgqMachine machine;
+  bgq::EmonSession emon(machine.board(0));
+  moneq::BgqBackend bgq_backend(emon);
+  mic::PhiCard card(engine);
+  mic::MicrasDaemon daemon(card);
+  daemon.start();
+  moneq::MicDaemonBackend mic_backend(daemon);
+
+  // The victim: an NVML board.
+  nvml::NvmlLibrary library(engine);
+  library.attach_device(std::make_shared<nvml::GpuDevice>(nvml::k20_spec()));
+  (void)library.init();
+  nvml::NvmlDeviceHandle handle;
+  (void)library.device_get_handle_by_index(0, &handle);
+  moneq::NvmlBackend nvml_backend(library, handle);
+
+  if (storm) {
+    // Survivors keep their hooks attached with nothing scripted — an
+    // attached-but-clean site must behave exactly like a detached one.
+    emon.attach_fault_hook(injector);
+    daemon.attach_fault_hook(injector);
+    library.attach_fault_hook(injector);
+
+    injector.fail_next(fault::sites::kNvml, StatusCode::kUnavailable,
+                       "transient driver hiccup");
+    injector.flap_between(fault::sites::kNvml, SimTime::from_seconds(3),
+                          SimTime::from_seconds(8), 0.35, StatusCode::kUnavailable,
+                          "flaky driver");
+    injector.delay_between(fault::sites::kNvml, SimTime::from_seconds(4),
+                           SimTime::from_seconds(7), Duration::millis(2));
+    injector.corrupt_between(fault::sites::kNvml, SimTime::from_seconds(8.4),
+                             SimTime::from_seconds(9.6), 1.05);
+    injector.kill_at(fault::sites::kNvml, SimTime::from_seconds(10),
+                     "XID 79: GPU fell off the bus");
+  }
+
+  smpi::World world(1);
+  moneq::NodeProfiler profiler(engine, world, 0);
+  EXPECT_TRUE(profiler.add_backend(bgq_backend).is_ok());
+  EXPECT_TRUE(profiler.add_backend(mic_backend).is_ok());
+  EXPECT_TRUE(profiler.add_backend(nvml_backend).is_ok());
+  EXPECT_TRUE(profiler.set_polling_interval(Duration::millis(600)).is_ok());
+  EXPECT_TRUE(profiler.initialize().is_ok());
+
+  engine.run_until(SimTime::from_seconds(kStormRunSeconds));
+  moneq::MemoryOutput out;
+  EXPECT_TRUE(profiler.finalize(nullptr, &out).is_ok());
+
+  StormRun result;
+  result.file = out.files().at(moneq::node_file_name(0));
+  result.gaps = profiler.gaps();
+  result.collection = profiler.overhead().collection;
+  result.degraded_polls = profiler.degraded_polls();
+  result.injected_total = injector.injected_total();
+  result.nvml_state = profiler.backend_health(2).state();
+  return result;
+}
+
+// Sample rows of the surviving backends: every data row whose domain is
+// not one the NVML backend emits, excluding #TAG/#GAP sentinel rows.
+// (The MICRAS die_temp rows share the NVML domain name, so they sit out
+// the comparison; its seven other domains stay in.)
+std::string surviving_rows(const std::string& file) {
+  static const std::set<std::string> nvml_domains = {"board", "die_temp", "mem_used",
+                                                     "mem_free", "fan"};
+  std::ostringstream kept;
+  std::istringstream lines(file);
+  std::string line;
+  while (std::getline(lines, line)) {
+    std::istringstream fields(line);
+    std::string t, domain, quantity;
+    if (!std::getline(fields, t, ',') || !std::getline(fields, domain, ',') ||
+        !std::getline(fields, quantity, ',')) {
+      continue;
+    }
+    if (!quantity.empty() && quantity.front() == '#') continue;  // tag / gap marker
+    if (nvml_domains.contains(domain)) continue;
+    kept << line << '\n';
+  }
+  return kept.str();
+}
+
+bool same_gaps(const std::vector<moneq::GapMarker>& a, const std::vector<moneq::GapMarker>& b) {
+  if (a.size() != b.size()) return false;
+  for (std::size_t i = 0; i < a.size(); ++i) {
+    if (a[i].t != b[i].t || a[i].backend != b[i].backend || a[i].is_start != b[i].is_start ||
+        a[i].reason != b[i].reason) {
+      return false;
+    }
+  }
+  return true;
+}
+
+TEST(Resilience, NvmlStormReplaysExactlyAndSparesSurvivors) {
+  const StormRun clean = run_storm_node(false);
+  const StormRun storm_a = run_storm_node(true);
+  const StormRun storm_b = run_storm_node(true);  // same seed: must replay exactly
+
+  // Deterministic replay: byte-identical node file, same gap markers.
+  EXPECT_EQ(storm_a.file, storm_b.file);
+  EXPECT_TRUE(same_gaps(storm_a.gaps, storm_b.gaps));
+
+  // Blast-radius isolation: the survivors' rows match a fault-free run.
+  const std::string clean_rows = surviving_rows(clean.file);
+  EXPECT_FALSE(clean_rows.empty());
+  EXPECT_EQ(clean_rows, surviving_rows(storm_a.file));
+
+  // The storm actually bit: faults injected, gaps marked, the victim
+  // still dark at shutdown.
+  EXPECT_GT(storm_a.injected_total, 0u);
+  EXPECT_FALSE(storm_a.gaps.empty());
+  EXPECT_GT(storm_a.degraded_polls, 0u);
+  EXPECT_EQ(moneq::to_string(storm_a.nvml_state), moneq::to_string(BackendState::kQuarantined));
+
+  // Bounded overhead: the degradation policy's lifetime retry budget
+  // plus every scripted stall (5 delayed polls x up to 5 NVML calls x
+  // 2 ms) over the fault-free cost, and under 1% of the run.
+  const Duration budget = DegradationPolicy{}.retry_budget + Duration::millis(50);
+  EXPECT_LE(storm_a.collection.to_millis(), clean.collection.to_millis() + budget.to_millis());
+  EXPECT_LT(storm_a.collection.to_seconds() / kStormRunSeconds, 0.01);
 }
 
 TEST(Resilience, IpmbHookDropsFrames) {

@@ -9,6 +9,9 @@
 //  * decode totality — garbage bytes with garbage offsets decode to the
 //    reference decoders' bits and never read out of bounds
 //    (ci/check.sh re-runs this suite under ASan/UBSan);
+//  * decode identity on production shapes — one fixed sensor-shaped
+//    value column and one 240 s-cadence timestamp stream, the workload
+//    bench/tsdb_scale times the decode kernels on;
 //  * fold grammar — the subchunk folds are bit-identical to an
 //    independent transcription of the canonical grammar in simd.hpp,
 //    for every lane count 0..16 including NaN/±inf/±0 mixes;
@@ -31,6 +34,7 @@
 #include <cmath>
 #include <cstdint>
 #include <optional>
+#include <random>
 #include <string>
 #include <vector>
 
@@ -188,6 +192,84 @@ ENVMON_PROP(PropCodec, GarbageDecodesIdenticallyOnAllVariants, 150) {
   std::vector<std::int64_t> dout(rows, 0);
   simd::decode_dod(stream.data(), stream.size(), rows, dout.data());
   for (std::size_t i = 0; i < rows; ++i) ASSERT_EQ(dout[i], dref[i]) << "row " << i;
+}
+
+// ---------------------------------------------------------------------
+// Decode identity on the production shapes, at fixed seeds
+// ---------------------------------------------------------------------
+
+TEST(PropCodec, SensorColumnAndCadenceStreamDecodeBitIdentical) {
+  constexpr std::size_t kN = std::size_t{1} << 15;
+
+  // Sensor-shaped values: long same-value runs (the XOR codec's 1-bit
+  // case), small mantissa drifts, occasional regulator steps — laid
+  // out as Block::seal lays out a value column.
+  std::vector<double> vals(kN);
+  std::mt19937_64 vrng(0x5eed);
+  double v = 1.2;
+  for (auto& out : vals) {
+    const std::uint64_t roll = vrng() % 100;
+    if (roll < 55) {
+      // repeat
+    } else if (roll < 90) {
+      v += 0.0005 * static_cast<double>(static_cast<std::int64_t>(vrng() % 9) - 4);
+    } else {
+      v = 1.2 + 0.01 * static_cast<double>(vrng() % 8);
+    }
+    out = v;
+  }
+  BitWriter vw;
+  std::vector<std::uint32_t> offsets;
+  for (std::size_t begin = 0; begin < kN; begin += kRows) {
+    offsets.push_back(static_cast<std::uint32_t>(vw.bit_size()));
+    XorEncoder enc;
+    for (std::size_t i = begin; i < std::min(begin + kRows, kN); ++i) enc.append(vals[i], vw);
+  }
+  const auto& vstream = vw.bytes();
+
+  // Near-fixed-interval ticks with jitter: the paper's 240 s polling
+  // cadence.
+  std::vector<std::int64_t> ts(kN);
+  std::mt19937_64 trng(0xd0d);
+  std::int64_t t = 1'000'000'000;
+  for (auto& out : ts) {
+    t += 240'000'000'000 + static_cast<std::int64_t>(trng() % 2'000'001) - 1'000'000;
+    out = t;
+  }
+  BitWriter tw;
+  DeltaOfDeltaEncoder tenc;
+  for (const std::int64_t x : ts) tenc.append(x, tw);
+  const auto& tstream = tw.bytes();
+
+  // The reference decoders round-trip ...
+  std::vector<double> ref_vals(kN);
+  BitReader vr(vstream);
+  for (std::size_t c = 0; c < offsets.size(); ++c) {
+    vr.seek(offsets[c]);
+    XorDecoder dec;
+    for (std::size_t i = c * kRows; i < std::min((c + 1) * kRows, kN); ++i) {
+      ref_vals[i] = dec.next(vr);
+    }
+  }
+  std::vector<std::int64_t> ref_ts(kN);
+  BitReader tr(tstream);
+  DeltaOfDeltaDecoder tdec;
+  for (auto& out : ref_ts) out = tdec.next(tr);
+  for (std::size_t i = 0; i < kN; ++i) {
+    ASSERT_EQ(bits_of(ref_vals[i]), bits_of(vals[i])) << "reference XOR, row " << i;
+    ASSERT_EQ(ref_ts[i], ts[i]) << "reference delta-of-delta, row " << i;
+  }
+
+  // ... and the kernels reproduce them bit for bit.
+  std::vector<double> out_vals(kN, -7.25);
+  simd::decode_xor_column(vstream.data(), vstream.size(), offsets.data(), offsets.size(), kN,
+                          out_vals.data());
+  std::vector<std::int64_t> out_ts(kN, -1);
+  simd::decode_dod(tstream.data(), tstream.size(), kN, out_ts.data());
+  for (std::size_t i = 0; i < kN; ++i) {
+    ASSERT_EQ(bits_of(out_vals[i]), bits_of(ref_vals[i])) << "kernel XOR, row " << i;
+    ASSERT_EQ(out_ts[i], ref_ts[i]) << "kernel delta-of-delta, row " << i;
+  }
 }
 
 // ---------------------------------------------------------------------
