@@ -145,7 +145,7 @@ RunResult run(const BenchShape& shape, int threads) {
   // The fleet-wide rolled-up snapshot rides the determinism gate too:
   // its JSON rendering must be byte-identical at any worker count.
   r.rollup_digest = fnv1a(0xcbf29ce484222325ull,
-                          envmon::obs::export_json(runner.telemetry()->fleet_rollup()));
+                          envmon::obs::export_json(runner.telemetry().fleet_rollup()));
   const auto report = runner.report().value();
   r.wall_seconds = report.wall_seconds;
   r.node_seconds_per_second = report.node_seconds_per_second;

@@ -15,20 +15,22 @@
 #   5. observability demo: examples/observability_demo must exit 0 and
 #      print its post-mortem — the one end-to-end run of the obs
 #      exports and the flight recorder dump;
-#   6. property sweep: the `prop` label re-runs at an elevated case
+#   6. fleet example: examples/fleet_collection (the README's
+#      FleetRunner example) must exit 0;
+#   7. property sweep: the `prop` label re-runs at an elevated case
 #      count (the tier-1 pass already ran the defaults).  The label
 #      also holds the decode kernels bit-identical to the reference
 #      decoders on the sensor-shaped column and timestamp stream
 #      (PropCodec.SensorColumnAndCadenceStreamDecodeBitIdentical,
 #      DESIGN.md §15's identity contract) in every pass that runs it;
-#   7. ASan+UBSan build of the obs + fleet + persist + daemon + prop +
+#   8. ASan+UBSan build of the obs + fleet + persist + daemon + prop +
 #      tsdb + resilience labels (the suites that exercise the telemetry
 #      rollup, flight recorders, the ingest path, the durable storage
 #      layer, the wire protocol, the randomized codec/fold/engine
 #      properties, the scan pipeline's read path, and graceful
 #      degradation under the seeded fault storm — the garbage-decode
 #      properties are the UBSan workload for the bit-level kernels);
-#   8. TSan build of the same labels — the fleet suite's 8-worker
+#   9. TSan build of the same labels — the fleet suite's 8-worker
 #      byte-equality tests, the daemon suite's multi-client
 #      server/client runs, and the tsdb suite's 4-thread query tests
 #      (EnvDatabaseBlocks.ParallelQueryMatchesSerialAcrossThreadCounts
@@ -87,6 +89,9 @@ echo "== observability demo: exports + flight recorder post-mortem =="
 DEMO_OUT="$(./build/examples/observability_demo)"
 grep -q -- "----- Post-mortem" <<<"${DEMO_OUT}"
 grep -q '"name": "backend.health"' <<<"${DEMO_OUT}"
+
+echo "== fleet example: the README's FleetRunner run =="
+./build/examples/fleet_collection
 
 echo "== property sweep: -L prop at ENVMON_PROP_CASES=${PROP_SWEEP_CASES} =="
 ENVMON_PROP_CASES="${PROP_SWEEP_CASES}" \

@@ -21,10 +21,16 @@
 
 namespace envmon::fleet {
 
-// v2.1: work-stealing shard scheduler (FleetConfig::{shards,
-// epoch_window}), fleet failure detector (failure_detector, detector;
-// FleetReport liveness counts), and memory accounting (rss_bytes,
-// bytes_per_node).  Pure extension — v2.0 callers compile unchanged.
+// v2.1: work-stealing shard scheduler, fleet failure detector
+// (FleetReport liveness counts), and memory accounting (rss_bytes,
+// bytes_per_node).  Not a pure extension: FleetConfig is down to the
+// fields a caller chooses (shape, threads, epoch, horizon, polling,
+// seed, ingest, database, output, fault_script).  Shard count, skew
+// window, queue capacity, workload, degradation policy, telemetry,
+// self-scrape, the failure detector and recorder sizing are fixed by the
+// runner; the filesystem cost model, ingest deadline and post-mortem
+// file are gone.  A caller that set any of those fields no longer
+// compiles.
 inline constexpr int kApiVersionMajor = 2;
 inline constexpr int kApiVersionMinor = 1;
 

@@ -6,7 +6,8 @@
 namespace envmon::fleet {
 inline namespace v2 {
 
-IngestQueue::IngestQueue(std::size_t capacity) : capacity_(std::max<std::size_t>(capacity, 1)) {
+IngestQueue::IngestQueue(std::size_t capacity, obs::FlightRecorder* recorder)
+    : capacity_(std::max<std::size_t>(capacity, 1)), recorder_(recorder) {
   if (obs::enabled()) {
     auto& registry = obs::default_registry();
     depth_metric_ = &registry.gauge("envmon_fleet_queue_depth",
@@ -24,19 +25,11 @@ bool IngestQueue::push(EpochBatch batch) {
     if (stalls_metric_ != nullptr) stalls_metric_->inc();
     const auto began = std::chrono::steady_clock::now();
     not_full_.wait(lock, [this] { return items_.size() < capacity_ || closed_; });
-    const double stalled =
+    stall_seconds_ +=
         std::chrono::duration<double>(std::chrono::steady_clock::now() - began).count();
-    stall_seconds_ += stalled;
     if (recorder_ != nullptr) {
       recorder_->record(batch.boundary, -1, "queue", "queue.stall",
-                        "epoch " + std::to_string(batch.epoch),
-                        obs::EventClass::kTiming);
-      if (deadline_seconds_ && stalled > *deadline_seconds_) {
-        deadline_missed_.store(true, std::memory_order_relaxed);
-        recorder_->record(batch.boundary, -1, "queue", "queue.deadline_missed",
-                          "epoch " + std::to_string(batch.epoch),
-                          obs::EventClass::kTiming);
-      }
+                        "epoch " + std::to_string(batch.epoch), obs::EventClass::kTiming);
     }
   }
   if (closed_) return false;
@@ -90,20 +83,15 @@ std::size_t RecordBufferPool::take(std::vector<std::vector<tsdb::Record>>& out,
 void RecordBufferPool::put(std::vector<std::vector<tsdb::Record>>&& buffers) {
   const std::scoped_lock lock(mutex_);
   for (std::vector<tsdb::Record>& buffer : buffers) {
-    if (free_.size() >= max_buffers_) break;
+    if (free_.size() >= kMaxBuffers) break;
     free_.push_back(std::move(buffer));
   }
   buffers.clear();
 }
 
-std::size_t RecordBufferPool::size() const {
-  const std::scoped_lock lock(mutex_);
-  return free_.size();
-}
-
-IngestWorker::IngestWorker(tsdb::EnvDatabase& db, IngestQueue& queue,
-                           std::uint64_t seal_interval, std::size_t seal_min_rows)
-    : db_(&db), queue_(&queue), seal_interval_(seal_interval), seal_min_rows_(seal_min_rows) {
+IngestWorker::IngestWorker(tsdb::EnvDatabase& db, IngestQueue& queue, RecordBufferPool& pool,
+                           obs::FlightRecorder& recorder)
+    : db_(&db), queue_(&queue), pool_(&pool), recorder_(&recorder) {
   if (obs::enabled()) {
     applied_metric_ = &obs::default_registry().counter(
         "envmon_fleet_records_applied_total",
@@ -128,12 +116,10 @@ void IngestWorker::apply(EpochBatch&& batch) {
   for (NodeBatch& node : batch.nodes) {
     rows.insert(rows.end(), std::make_move_iterator(node.records.begin()),
                 std::make_move_iterator(node.records.end()));
-    if (pool_ != nullptr) {
-      node.records.clear();  // destroy moved-from shells, keep capacity
-      recycle_.push_back(std::move(node.records));
-    }
+    node.records.clear();  // destroy moved-from shells, keep capacity
+    recycle_.push_back(std::move(node.records));
   }
-  if (pool_ != nullptr && !recycle_.empty()) pool_->put(std::move(recycle_));
+  if (!recycle_.empty()) pool_->put(std::move(recycle_));
   std::stable_sort(rows.begin(), rows.end(),
                    [](const tsdb::Record& a, const tsdb::Record& b) {
                      return a.timestamp.ns() < b.timestamp.ns();
@@ -148,7 +134,7 @@ void IngestWorker::apply(EpochBatch&& batch) {
   if (applied_metric_ != nullptr) applied_metric_->inc(result.accepted);
   // Retention runs inside insert: accepted rows that don't all show up in
   // the post-insert size mean the store aged something out this batch.
-  if (recorder_ != nullptr && size_before + result.accepted != db_->size()) {
+  if (size_before + result.accepted != db_->size()) {
     const std::size_t dropped = size_before + result.accepted - db_->size();
     recorder_->record(batch.boundary, -1, "tsdb", "tsdb.retention",
                       "epoch " + std::to_string(batch.epoch) + ": dropped " +
@@ -156,10 +142,9 @@ void IngestWorker::apply(EpochBatch&& batch) {
   }
   // Epoch-boundary seal: flush grown heads into immutable blocks on a
   // batch-count schedule (deterministic — this is the only db writer).
-  if (seal_interval_ > 0 && stats_.batches % seal_interval_ == 0) {
-    const std::size_t sealed = db_->seal_blocks(seal_min_rows_);
-    stats_.blocks_sealed += sealed;
-    if (recorder_ != nullptr && sealed > 0) {
+  if (stats_.batches % kSealInterval == 0) {
+    const std::size_t sealed = db_->seal_blocks(kSealMinRows);
+    if (sealed > 0) {
       recorder_->record(batch.boundary, -1, "tsdb", "tsdb.seal",
                         "epoch " + std::to_string(batch.epoch) + ": sealed " +
                             std::to_string(sealed) + " blocks");
@@ -167,8 +152,12 @@ void IngestWorker::apply(EpochBatch&& batch) {
     // A durable store flushes on the same schedule: each epoch seal
     // pushes the sealed blocks' extents and WAL records to disk, so a
     // crash loses at most one seal interval of fleet data even under
-    // FsyncPolicy::kNone.
-    if (db_->durable() && db_->flush().is_ok()) ++stats_.flushes;
+    // FsyncPolicy::kNone.  The first failure is kept for run() to
+    // return.
+    if (db_->durable()) {
+      const Status flushed = db_->flush();
+      if (status_.is_ok()) status_ = flushed;
+    }
   }
 }
 

@@ -23,6 +23,7 @@
 #include <optional>
 #include <vector>
 
+#include "common/status.hpp"
 #include "obs/metrics.hpp"
 #include "obs/recorder.hpp"
 #include "sim/time.hpp"
@@ -42,10 +43,10 @@ struct NodeBatch {
 // without recycling every epoch re-grows them from scratch.  Workers
 // take a chunk per shard-epoch (one lock round-trip, not one per node)
 // and the ingest thread returns the emptied buffers after applying a
-// batch.  Bounded: buffers past `max_buffers` are simply freed.
+// batch.  Bounded: buffers past kMaxBuffers are simply freed.
 class RecordBufferPool {
  public:
-  explicit RecordBufferPool(std::size_t max_buffers = 1 << 17) : max_buffers_(max_buffers) {}
+  static constexpr std::size_t kMaxBuffers = 1 << 17;
 
   // Appends up to `want` recycled buffers (empty, capacity retained) to
   // `out`; returns how many were supplied.  Callers make up the balance
@@ -54,12 +55,9 @@ class RecordBufferPool {
   // Returns emptied buffers to the pool in one lock round-trip.
   void put(std::vector<std::vector<tsdb::Record>>&& buffers);
 
-  [[nodiscard]] std::size_t size() const;
-
  private:
-  mutable std::mutex mutex_;
+  std::mutex mutex_;
   std::vector<std::vector<tsdb::Record>> free_;
-  std::size_t max_buffers_;
 };
 
 // Everything the fleet staged during one epoch, ordered by node index.
@@ -76,23 +74,12 @@ struct EpochBatch {
 // epoch-barrier completion — and one consumer, the ingest thread).
 class IngestQueue {
  public:
-  // `capacity` is in epochs; 0 is promoted to 1.
-  explicit IngestQueue(std::size_t capacity);
-
-  // When attached, queue stalls become kTiming flight-recorder events
-  // ("queue"/"queue.stall"); a single stall longer than
-  // `deadline_seconds` (when set) additionally records
-  // "queue.deadline_missed" and latches deadline_missed().  Timing
-  // events never land in the deterministic post-mortem stream — stall
-  // durations depend on host scheduling, not the virtual clock.
-  void attach_recorder(obs::FlightRecorder* recorder,
-                       std::optional<double> deadline_seconds = std::nullopt) {
-    recorder_ = recorder;
-    deadline_seconds_ = deadline_seconds;
-  }
-  [[nodiscard]] bool deadline_missed() const {
-    return deadline_missed_.load(std::memory_order_relaxed);
-  }
+  // `capacity` is in epochs; 0 is promoted to 1.  With a `recorder`,
+  // queue stalls become kTiming flight-recorder events
+  // ("queue"/"queue.stall"); timing events never land in the
+  // deterministic post-mortem stream — stall durations depend on host
+  // scheduling, not the virtual clock.
+  explicit IngestQueue(std::size_t capacity, obs::FlightRecorder* recorder = nullptr);
 
   // Blocks while full.  Returns false (dropping the batch) after close().
   bool push(EpochBatch batch);
@@ -116,9 +103,7 @@ class IngestQueue {
   bool closed_ = false;
   std::atomic<std::uint64_t> stalls_{0};
   double stall_seconds_ = 0.0;  // guarded by mutex_
-  obs::FlightRecorder* recorder_ = nullptr;
-  std::optional<double> deadline_seconds_;
-  std::atomic<bool> deadline_missed_{false};
+  obs::FlightRecorder* recorder_;
 
   obs::Gauge* depth_metric_ = nullptr;
   obs::Counter* stalls_metric_ = nullptr;
@@ -127,29 +112,24 @@ class IngestQueue {
 // The consumer side: drains the queue into the database, preserving the
 // deterministic order (epoch, node, timestamp-stable).
 //
-// Every `seal_interval` applied batches the worker asks the store to
-// seal series heads holding at least `seal_min_rows` rows into
-// immutable compressed blocks, bounding the mutable tier during long
-// collection runs.  The schedule counts applied batches on the single
-// ingest thread, so it is deterministic regardless of worker count —
-// and sealing never changes query results (database.hpp).
+// Every kSealInterval applied batches the worker asks the store to seal
+// series heads holding at least kSealMinRows rows into immutable
+// compressed blocks, bounding the mutable tier during long collection
+// runs; a durable store flushes on the same schedule.  The schedule
+// counts applied batches on the single ingest thread, so it is
+// deterministic regardless of worker count — and sealing never changes
+// query results (database.hpp).
 class IngestWorker {
  public:
-  static constexpr std::uint64_t kDefaultSealInterval = 64;
-  static constexpr std::size_t kDefaultSealMinRows = 1024;
+  static constexpr std::uint64_t kSealInterval = 64;
+  static constexpr std::size_t kSealMinRows = 1024;
 
-  IngestWorker(tsdb::EnvDatabase& db, IngestQueue& queue,
-               std::uint64_t seal_interval = kDefaultSealInterval,
-               std::size_t seal_min_rows = kDefaultSealMinRows);
-
-  // When attached, seal and retention actions become deterministic
-  // flight-recorder events stamped with the applied batch's epoch
-  // boundary ("tsdb"/"tsdb.seal", "tsdb"/"tsdb.retention", node = -1).
-  void attach_recorder(obs::FlightRecorder* recorder) { recorder_ = recorder; }
-
-  // When attached, applied batches' record buffers are cleared and
-  // returned to the pool instead of freed.
-  void attach_pool(RecordBufferPool* pool) { pool_ = pool; }
+  // Applied batches' record buffers are cleared and returned to `pool`
+  // instead of freed.  Seal and retention actions become deterministic
+  // `recorder` events stamped with the applied batch's epoch boundary
+  // ("tsdb"/"tsdb.seal", "tsdb"/"tsdb.retention", node = -1).
+  IngestWorker(tsdb::EnvDatabase& db, IngestQueue& queue, RecordBufferPool& pool,
+               obs::FlightRecorder& recorder);
 
   // Consumes until the queue is closed and drained.  Run on one thread.
   void run();
@@ -160,22 +140,22 @@ class IngestWorker {
     std::size_t rejected_out_of_order = 0;
     std::size_t rejected_rate_limited = 0;
     std::size_t rejected_unavailable = 0;
-    std::size_t blocks_sealed = 0;  // epoch-boundary seals this worker requested
-    std::uint64_t flushes = 0;      // durable flushes at epoch-seal boundaries
   };
   // Safe to read after run() returns (or the running thread is joined).
   [[nodiscard]] const Stats& stats() const { return stats_; }
+  // The first failed durable flush (ok when every flush succeeded or the
+  // store is in-memory).  Same read rule as stats().
+  [[nodiscard]] const Status& status() const { return status_; }
 
  private:
   void apply(EpochBatch&& batch);
 
   tsdb::EnvDatabase* db_;
   IngestQueue* queue_;
-  std::uint64_t seal_interval_;
-  std::size_t seal_min_rows_;
+  RecordBufferPool* pool_;
+  obs::FlightRecorder* recorder_;
   Stats stats_;
-  obs::FlightRecorder* recorder_ = nullptr;
-  RecordBufferPool* pool_ = nullptr;
+  Status status_;
   std::vector<tsdb::Record> rows_;  // reused merge buffer
   std::vector<std::vector<tsdb::Record>> recycle_;  // reused return chunk
   obs::Counter* applied_metric_ = nullptr;

@@ -116,7 +116,6 @@ Status FleetNode::configure() {
 
   moneq::ProfilerOptions profiler_options;
   profiler_options.polling_interval = options_.defaults->polling_interval;
-  profiler_options.degradation = options_.defaults->degradation;
   // Drained samples are spooled into the node file and released each
   // epoch: at 100k nodes, retaining every Sample struct for the whole
   // horizon is what blows the memory budget.

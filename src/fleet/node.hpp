@@ -61,7 +61,6 @@ enum class IngestMode : std::uint8_t {
 struct NodeDefaults {
   std::vector<moneq::Capability> capabilities{moneq::Capability::kBgqEmon};
   std::optional<sim::Duration> polling_interval;
-  moneq::DegradationPolicy degradation;
   // Shared read-only workload profile; must outlive the nodes.
   const power::UtilizationProfile* workload = nullptr;
   IngestMode ingest = IngestMode::kPerSample;

@@ -51,12 +51,6 @@ Status FleetRunner::configure(FleetConfig config) {
   if (config.threads <= 0) {
     return Status::invalid_argument("fleet needs at least one worker thread");
   }
-  if (config.shards < 0) {
-    return Status::invalid_argument("shard count cannot be negative");
-  }
-  if (config.epoch_window == 0) {
-    return Status::invalid_argument("epoch window must be at least 1");
-  }
   if (config.epoch.ns() <= 0) {
     return Status::invalid_argument("epoch must be positive");
   }
@@ -72,18 +66,12 @@ Status FleetRunner::configure(FleetConfig config) {
 
   config_ = std::move(config);
   config_.threads = std::min(config_.threads, config_.nodes);
-  if (config_.shards == 0) config_.shards = auto_shards(config_.threads, config_.nodes);
-  config_.shards = std::clamp(config_.shards, config_.threads, config_.nodes);
+  const int shards = auto_shards(config_.threads, config_.nodes);
 
-  if (config_.workload == nullptr) {
-    default_workload_ = workloads::mmps({.total = config_.horizon});
-    config_.workload = &default_workload_;
-  }
-
+  workload_ = workloads::mmps({.total = config_.horizon});
   defaults_.capabilities = config_.capabilities;
   defaults_.polling_interval = config_.polling_interval;
-  defaults_.degradation = config_.degradation;
-  defaults_.workload = config_.workload;
+  defaults_.workload = &workload_;
   defaults_.ingest = config_.ingest;
   // Size each node's sample spool once, up front.  An over-estimate
   // costs nothing resident (reserved pages are untouched until written);
@@ -103,24 +91,18 @@ Status FleetRunner::configure(FleetConfig config) {
   world_ = std::make_unique<smpi::World>(config_.nodes);
   db_ = std::make_unique<tsdb::EnvDatabase>(config_.database);
 
-  if (config_.telemetry) {
-    telemetry_ = std::make_unique<obs::FleetTelemetry>(config_.nodes);
-    recorders_.reserve(static_cast<std::size_t>(config_.nodes));
-    for (int rank = 0; rank < config_.nodes; ++rank) {
-      recorders_.push_back(std::make_unique<obs::FlightRecorder>(config_.recorder_capacity));
-    }
-    fleet_recorder_ = std::make_unique<obs::FlightRecorder>(config_.recorder_capacity);
+  telemetry_ = std::make_unique<obs::FleetTelemetry>(config_.nodes);
+  recorders_.reserve(static_cast<std::size_t>(config_.nodes));
+  for (int rank = 0; rank < config_.nodes; ++rank) {
+    recorders_.push_back(std::make_unique<obs::FlightRecorder>(kRecorderCapacity));
   }
-  if (config_.failure_detector) {
-    detector_ = std::make_unique<FailureDetector>(config_.nodes, config_.detector,
-                                                  fleet_recorder_.get());
-  }
+  detector_ = std::make_unique<FailureDetector>(config_.nodes, DetectorPolicy{}, &fleet_recorder_);
 
   // Contiguous shards: shard s owns ranks [bounds[s], bounds[s+1]).
-  shard_bounds_.assign(static_cast<std::size_t>(config_.shards) + 1, 0);
-  const int base = config_.nodes / config_.shards;
-  const int extra = config_.nodes % config_.shards;
-  for (int s = 0; s < config_.shards; ++s) {
+  shard_bounds_.assign(static_cast<std::size_t>(shards) + 1, 0);
+  const int base = config_.nodes / shards;
+  const int extra = config_.nodes % shards;
+  for (int s = 0; s < shards; ++s) {
     shard_bounds_[static_cast<std::size_t>(s) + 1] =
         shard_bounds_[static_cast<std::size_t>(s)] + base + (s < extra ? 1 : 0);
   }
@@ -151,17 +133,14 @@ Status FleetRunner::configure(FleetConfig config) {
     bytes_per_node_metric_ =
         &registry.gauge("envmon_fleet_bytes_per_node",
                         "Resident-set growth per simulated node over the run");
-    if (detector_ != nullptr) {
-      nodes_alive_metric_ =
-          &registry.gauge("envmon_fleet_nodes_alive", "Nodes the failure detector holds Alive");
-      nodes_suspect_metric_ = &registry.gauge("envmon_fleet_nodes_suspect",
-                                              "Nodes the failure detector holds Suspect");
-      nodes_dead_metric_ =
-          &registry.gauge("envmon_fleet_nodes_dead", "Nodes the failure detector holds Dead");
-      liveness_transitions_metric_ =
-          &registry.counter("envmon_fleet_liveness_transitions_total",
-                            "Node liveness state transitions");
-    }
+    nodes_alive_metric_ =
+        &registry.gauge("envmon_fleet_nodes_alive", "Nodes the failure detector holds Alive");
+    nodes_suspect_metric_ = &registry.gauge("envmon_fleet_nodes_suspect",
+                                            "Nodes the failure detector holds Suspect");
+    nodes_dead_metric_ =
+        &registry.gauge("envmon_fleet_nodes_dead", "Nodes the failure detector holds Dead");
+    liveness_transitions_metric_ = &registry.counter("envmon_fleet_liveness_transitions_total",
+                                                     "Node liveness state transitions");
   }
 
   state_ = State::kConfigured;
@@ -175,10 +154,8 @@ Status FleetRunner::build_node(int rank) {
   options.rank = rank;
   options.seed = mix_seed(config_.seed, rank);
   options.defaults = &defaults_;
-  if (telemetry_ != nullptr) {
-    options.registry = &telemetry_->node_registry(rank);
-    options.recorder = recorders_[static_cast<std::size_t>(rank)].get();
-  }
+  options.registry = &telemetry_->node_registry(rank);
+  options.recorder = recorders_[static_cast<std::size_t>(rank)].get();
   auto node = std::make_unique<FleetNode>(*world_, std::move(options));
   if (const Status s = node->configure(); !s.is_ok()) {
     return Status(s.code(), "node " + std::to_string(rank) + ": " + std::string(s.message()));
@@ -196,18 +173,13 @@ Status FleetRunner::run() {
   const auto t0 = std::chrono::steady_clock::now();
 
   const int threads = config_.threads;
-  const int shards = config_.shards;
+  const int shards = static_cast<int>(shard_bounds_.size()) - 1;
   const std::uint64_t epoch_count = static_cast<std::uint64_t>(
       (config_.horizon.ns() + config_.epoch.ns() - 1) / config_.epoch.ns());
-  const std::uint64_t ring = config_.epoch_window + 1;
+  const std::uint64_t ring = kEpochWindow + 1;
 
-  IngestQueue queue(config_.ingest_queue_capacity);
-  IngestWorker ingest(*db_, queue);
-  ingest.attach_pool(&pool_);
-  if (fleet_recorder_ != nullptr) {
-    queue.attach_recorder(fleet_recorder_.get(), config_.ingest_deadline_seconds);
-    ingest.attach_recorder(fleet_recorder_.get());
-  }
+  IngestQueue queue(kIngestQueueCapacity, &fleet_recorder_);
+  IngestWorker ingest(*db_, queue, pool_, fleet_recorder_);
   std::thread ingest_thread([&ingest] { ingest.run(); });
 
   // One deposit slot per (shard, epoch % ring).  A slot is written under
@@ -273,36 +245,32 @@ Status FleetRunner::run() {
     }
     if (!scratch.empty()) pool_.put(std::move(scratch));
 
-    if (telemetry_ != nullptr) {
-      const auto capture_began = std::chrono::steady_clock::now();
-      if (dep.snaps.empty()) {
-        // Cold slot: adopt the warm snapshots (series strings, vector
-        // capacity) of an already-merged sibling slot instead of
-        // rebuilding them.  This bounds cold captures per shard by the
-        // run's *actual* epoch skew — 1 in a sequential run — rather
-        // than by the window.  Safe: this worker owns every slot of the
-        // shard, and the merger never rereads epochs <= last_merged
-        // (the release store below happens after its last read).
-        const std::uint64_t merged = last_merged.load(std::memory_order_acquire);
-        for (ShardDeposit& other : deposits[static_cast<std::size_t>(shard)]) {
-          if (&other != &dep && !other.snaps.empty() && other.epoch <= merged) {
-            dep.snaps.swap(other.snaps);
-            break;
-          }
+    const auto capture_began = std::chrono::steady_clock::now();
+    if (dep.snaps.empty()) {
+      // Cold slot: adopt the warm snapshots (series strings, vector
+      // capacity) of an already-merged sibling slot instead of
+      // rebuilding them.  This bounds cold captures per shard by the
+      // run's *actual* epoch skew — 1 in a sequential run — rather
+      // than by the window.  Safe: this worker owns every slot of the
+      // shard, and the merger never rereads epochs <= last_merged
+      // (the release store below happens after its last read).
+      const std::uint64_t merged = last_merged.load(std::memory_order_acquire);
+      for (ShardDeposit& other : deposits[static_cast<std::size_t>(shard)]) {
+        if (&other != &dep && !other.snaps.empty() && other.epoch <= merged) {
+          dep.snaps.swap(other.snaps);
+          break;
         }
       }
-      dep.snaps.resize(static_cast<std::size_t>(end - begin));
-      for (int rank = begin; rank < end; ++rank) {
-        telemetry_->capture_into(rank, dep.snaps[static_cast<std::size_t>(rank - begin)]);
-      }
-      shard_capture_seconds[static_cast<std::size_t>(shard)] += seconds_since(capture_began);
     }
-    if (detector_ != nullptr) {
-      dep.beats.resize(static_cast<std::size_t>(end - begin));
-      for (int rank = begin; rank < end; ++rank) {
-        dep.beats[static_cast<std::size_t>(rank - begin)] =
-            nodes_[static_cast<std::size_t>(rank)]->heartbeat() ? 1 : 0;
-      }
+    dep.snaps.resize(static_cast<std::size_t>(end - begin));
+    for (int rank = begin; rank < end; ++rank) {
+      telemetry_->capture_into(rank, dep.snaps[static_cast<std::size_t>(rank - begin)]);
+    }
+    shard_capture_seconds[static_cast<std::size_t>(shard)] += seconds_since(capture_began);
+    dep.beats.resize(static_cast<std::size_t>(end - begin));
+    for (int rank = begin; rank < end; ++rank) {
+      dep.beats[static_cast<std::size_t>(rank - begin)] =
+          nodes_[static_cast<std::size_t>(rank)]->heartbeat() ? 1 : 0;
     }
     dep.epoch = epoch;
     return Status::ok();
@@ -316,10 +284,9 @@ Status FleetRunner::run() {
   double fold_seconds = 0.0;
   std::uint64_t transitions_seen = 0;
   auto epoch_began = std::chrono::steady_clock::now();
-  std::vector<const obs::Snapshot*> snapshot_ptrs(
-      telemetry_ != nullptr ? static_cast<std::size_t>(config_.nodes) : 0, nullptr);
-  std::vector<std::uint8_t> heartbeats(
-      detector_ != nullptr ? static_cast<std::size_t>(config_.nodes) : 0, 0);
+  std::vector<const obs::Snapshot*> snapshot_ptrs(static_cast<std::size_t>(config_.nodes),
+                                                  nullptr);
+  std::vector<std::uint8_t> heartbeats(static_cast<std::size_t>(config_.nodes), 0);
 
   auto complete_epoch = [&](std::uint64_t epoch) -> Status {
     const sim::SimTime boundary = epoch_boundary(epoch);
@@ -332,49 +299,35 @@ Status FleetRunner::run() {
       batch.rows += dep.rows;
       for (NodeBatch& node : dep.nodes) batch.nodes.push_back(std::move(node));
       dep.nodes.clear();
-      if (telemetry_ != nullptr) {
-        const int begin = shard_bounds_[static_cast<std::size_t>(s)];
-        const int end = shard_bounds_[static_cast<std::size_t>(s) + 1];
-        for (int rank = begin; rank < end; ++rank) {
-          snapshot_ptrs[static_cast<std::size_t>(rank)] =
-              &dep.snaps[static_cast<std::size_t>(rank - begin)];
-        }
-      }
-      if (detector_ != nullptr) {
-        const int begin = shard_bounds_[static_cast<std::size_t>(s)];
-        for (std::size_t i = 0; i < dep.beats.size(); ++i) {
-          heartbeats[static_cast<std::size_t>(begin) + i] = dep.beats[i];
-        }
+      const auto begin = static_cast<std::size_t>(shard_bounds_[static_cast<std::size_t>(s)]);
+      for (std::size_t i = 0; i < dep.snaps.size(); ++i) {
+        snapshot_ptrs[begin + i] = &dep.snaps[i];
+        heartbeats[begin + i] = dep.beats[i];
       }
     }
     // Fold the deposited node snapshots up the tree and append the fleet
     // rollup as one more "node" — index `nodes` places its rows after
     // every real rank in the stable sort's tie order.
-    if (telemetry_ != nullptr) {
-      const auto fold_began = std::chrono::steady_clock::now();
-      telemetry_->fold(snapshot_ptrs);
-      if (config_.self_scrape) {
-        NodeBatch self;
-        self.node = config_.nodes;
-        self.records = self_scrape_records(telemetry_->fleet_rollup(), boundary);
-        self_rows += self.records.size();
-        if (self_rows_metric_ != nullptr) self_rows_metric_->inc(self.records.size());
-        batch.rows += self.records.size();
-        batch.nodes.push_back(std::move(self));
-      }
-      fold_seconds += seconds_since(fold_began);
+    const auto fold_began = std::chrono::steady_clock::now();
+    telemetry_->fold(snapshot_ptrs);
+    NodeBatch self;
+    self.node = config_.nodes;
+    self.records = self_scrape_records(telemetry_->fleet_rollup(), boundary);
+    self_rows += self.records.size();
+    if (self_rows_metric_ != nullptr) self_rows_metric_->inc(self.records.size());
+    batch.rows += self.records.size();
+    batch.nodes.push_back(std::move(self));
+    fold_seconds += seconds_since(fold_began);
+
+    detector_->observe_epoch(boundary, heartbeats);
+    const FailureDetector::Counts& counts = detector_->counts();
+    if (nodes_alive_metric_ != nullptr) {
+      nodes_alive_metric_->set(static_cast<double>(counts.alive));
+      nodes_suspect_metric_->set(static_cast<double>(counts.suspect));
+      nodes_dead_metric_->set(static_cast<double>(counts.dead));
+      liveness_transitions_metric_->inc(detector_->transitions() - transitions_seen);
     }
-    if (detector_ != nullptr) {
-      detector_->observe_epoch(boundary, heartbeats);
-      const FailureDetector::Counts& counts = detector_->counts();
-      if (nodes_alive_metric_ != nullptr) {
-        nodes_alive_metric_->set(static_cast<double>(counts.alive));
-        nodes_suspect_metric_->set(static_cast<double>(counts.suspect));
-        nodes_dead_metric_->set(static_cast<double>(counts.dead));
-        liveness_transitions_metric_->inc(detector_->transitions() - transitions_seen);
-      }
-      transitions_seen = detector_->transitions();
-    }
+    transitions_seen = detector_->transitions();
     staged_rows += batch.rows;
     if (staged_metric_ != nullptr) staged_metric_->inc(batch.rows);
     if (batch.rows > 0) queue.push(std::move(batch));
@@ -393,8 +346,8 @@ Status FleetRunner::run() {
     const int begin = shard_bounds_[static_cast<std::size_t>(shard)];
     const int end = shard_bounds_[static_cast<std::size_t>(shard) + 1];
     for (int rank = begin; rank < end; ++rank) {
-      const Status s = nodes_[static_cast<std::size_t>(rank)]->finalize(
-          config_.filesystem, config_.output != nullptr);
+      const Status s =
+          nodes_[static_cast<std::size_t>(rank)]->finalize(nullptr, config_.output != nullptr);
       if (!s.is_ok()) return s;
     }
     return Status::ok();
@@ -404,7 +357,7 @@ Status FleetRunner::run() {
   scheduler_options.shards = shards;
   scheduler_options.workers = threads;
   scheduler_options.epochs = epoch_count;
-  scheduler_options.window = config_.epoch_window;
+  scheduler_options.window = kEpochWindow;
   ShardScheduler scheduler(scheduler_options,
                            {advance_shard, complete_epoch, finalize_shard});
   const Status scheduled = scheduler.run();
@@ -417,17 +370,16 @@ Status FleetRunner::run() {
   queue.close();
   ingest_thread.join();
   if (!scheduled.is_ok()) return scheduled;
+  if (!ingest.status().is_ok()) return ingest.status();
 
   // Adopt the final epoch's deposited captures as the telemetry tree's
   // per-node slots: node_capture() then reads exactly what the last fold
   // read, at zero copy cost.
-  if (telemetry_ != nullptr) {
-    for (int s = 0; s < shards; ++s) {
-      ShardDeposit& dep = deposits[static_cast<std::size_t>(s)][epoch_count % ring];
-      const int begin = shard_bounds_[static_cast<std::size_t>(s)];
-      for (std::size_t i = 0; i < dep.snaps.size(); ++i) {
-        telemetry_->store_capture(begin + static_cast<int>(i), std::move(dep.snaps[i]));
-      }
+  for (int s = 0; s < shards; ++s) {
+    ShardDeposit& dep = deposits[static_cast<std::size_t>(s)][epoch_count % ring];
+    const int begin = shard_bounds_[static_cast<std::size_t>(s)];
+    for (std::size_t i = 0; i < dep.snaps.size(); ++i) {
+      telemetry_->store_capture(begin + static_cast<int>(i), std::move(dep.snaps[i]));
     }
   }
 
@@ -466,14 +418,12 @@ Status FleetRunner::run() {
   if (steals_metric_ != nullptr) steals_metric_->inc(sched_stats.steals);
   if (window_wait_metric_ != nullptr) window_wait_metric_->set(sched_stats.window_wait_seconds);
 
-  if (detector_ != nullptr) {
-    const FailureDetector::Counts& counts = detector_->counts();
-    report_.nodes_unknown = counts.unknown;
-    report_.nodes_alive = counts.alive;
-    report_.nodes_suspect = counts.suspect;
-    report_.nodes_dead = counts.dead;
-    report_.liveness_transitions = detector_->transitions();
-  }
+  const FailureDetector::Counts& counts = detector_->counts();
+  report_.nodes_unknown = counts.unknown;
+  report_.nodes_alive = counts.alive;
+  report_.nodes_suspect = counts.suspect;
+  report_.nodes_dead = counts.dead;
+  report_.liveness_transitions = detector_->transitions();
 
   if (report_.rss_bytes > rss_before_bytes_ && config_.nodes > 0) {
     report_.bytes_per_node = static_cast<double>(report_.rss_bytes - rss_before_bytes_) /
@@ -483,47 +433,35 @@ Status FleetRunner::run() {
 
   // Post-mortem triggers, most diagnostic first: the earliest quarantine
   // transition on the merged deterministic timeline, else the first node
-  // the detector declared Dead, else a (wall-clock) ingest deadline miss.
-  // The dump itself contains only deterministic events either way.
-  if (fleet_recorder_ != nullptr) {
-    std::vector<const obs::FlightRecorder*> all;
-    all.reserve(recorders_.size() + 1);
-    for (const auto& r : recorders_) all.push_back(r.get());
-    all.push_back(fleet_recorder_.get());
-    std::string trigger;
-    for (const obs::RecorderEvent& event : obs::merge_events(all)) {
-      if (event.name == "backend.health" &&
-          event.detail.find("-> quarantined") != std::string::npos) {
-        trigger = "backend quarantined: node " + std::to_string(event.node) + ", " +
-                  event.detail;
-        break;
-      }
-      if (trigger.empty() && event.name == "liveness.transition" &&
-          event.detail.find("-> dead") != std::string::npos) {
-        trigger =
-            "node declared dead: node " + std::to_string(event.node) + ", " + event.detail;
-        // Keep scanning: a quarantine anywhere on the timeline outranks
-        // a dead declaration (it names the failing backend).
-      }
+  // the detector declared Dead.  The dump contains only deterministic
+  // events.
+  std::vector<const obs::FlightRecorder*> all;
+  all.reserve(recorders_.size() + 1);
+  for (const auto& r : recorders_) all.push_back(r.get());
+  all.push_back(&fleet_recorder_);
+  std::string trigger;
+  for (const obs::RecorderEvent& event : obs::merge_events(all)) {
+    if (event.name == "backend.health" &&
+        event.detail.find("-> quarantined") != std::string::npos) {
+      trigger =
+          "backend quarantined: node " + std::to_string(event.node) + ", " + event.detail;
+      break;
     }
-    if (trigger.empty() && queue.deadline_missed()) {
-      trigger = "ingest deadline missed";
+    if (trigger.empty() && event.name == "liveness.transition" &&
+        event.detail.find("-> dead") != std::string::npos) {
+      trigger = "node declared dead: node " + std::to_string(event.node) + ", " + event.detail;
+      // Keep scanning: a quarantine anywhere on the timeline outranks
+      // a dead declaration (it names the failing backend).
     }
-    if (!trigger.empty()) {
-      post_mortem_ = obs::dump_post_mortem(trigger, all);
-      report_.post_mortem_triggered = true;
-      report_.post_mortem_trigger = std::move(trigger);
-      if (config_.output != nullptr && !config_.post_mortem_path.empty()) {
-        const Status s = config_.output->write(config_.post_mortem_path, post_mortem_);
-        if (!s.is_ok()) return s;
-      }
-    }
-    for (const auto& r : recorders_) {
-      report_.recorder_events += r->recorded();
-      report_.recorder_dropped += r->dropped();
-    }
-    report_.recorder_events += fleet_recorder_->recorded();
-    report_.recorder_dropped += fleet_recorder_->dropped();
+  }
+  if (!trigger.empty()) {
+    post_mortem_ = obs::dump_post_mortem(trigger, all);
+    report_.post_mortem_triggered = true;
+    report_.post_mortem_trigger = std::move(trigger);
+  }
+  for (const obs::FlightRecorder* r : all) {
+    report_.recorder_events += r->recorded();
+    report_.recorder_dropped += r->dropped();
   }
 
   report_.telemetry_seconds = fold_seconds;

@@ -12,7 +12,7 @@
 //     shards and hands them to the ShardScheduler (scheduler.hpp):
 //     workers advance whole shards epoch-by-epoch independently,
 //     stealing lagging shards instead of parking at a barrier.  A shard
-//     may run up to `epoch_window` epochs ahead of the oldest unmerged
+//     may run up to kEpochWindow (4) epochs ahead of the oldest unmerged
 //     epoch; within an epoch it drains each node's new samples into a
 //     shard-local deposit (records + telemetry snapshots + heartbeats).
 //   * The scheduler's merge point is the sole barrier-like construct:
@@ -27,6 +27,10 @@
 //   * A shard that deposits its final epoch finalizes its nodes
 //     immediately (rendering files shard-parallel); the files are then
 //     written to the output target in rank order on the caller's thread.
+//   * Observability is always on (DESIGN.md §11): every node gets its own
+//     registry partition and flight recorder, the merge folds them into
+//     board/rack/fleet rollups, inserts the fleet rollup into the store
+//     under envmon.self.*, and feeds the heartbeat failure detector.
 //
 // Shared mutable state during run() is limited to: obs metrics
 // (atomics), the ingest queue and scheduler (mutex + condvars), and the
@@ -63,63 +67,30 @@ struct FleetConfig {
   std::vector<moneq::Capability> capabilities{moneq::Capability::kBgqEmon};
 
   // Parallelism.  `threads` is clamped to `nodes`; 1 reproduces the
-  // sequential engine exactly.
+  // sequential engine exactly.  The scheduler over-partitions into
+  // min(nodes, 4 x threads) work-stealing shards (one when
+  // single-threaded) and lets a shard run up to 4 epochs ahead of the
+  // oldest unmerged one.
   int threads = 1;
-  // Work-stealing shards (the unit of stealing; contiguous node ranges).
-  // 0 = auto: one shard single-threaded, else 4 shards per worker so
-  // fast workers always find a laggard to steal.  Clamped to
-  // [threads, nodes].
-  int shards = 0;
-  // How many epochs a shard may run ahead of the oldest unmerged epoch
-  // (>= 1).  Bounds staged records and capture snapshots in flight; 1
-  // approximates the old lockstep behaviour.
-  std::uint64_t epoch_window = 4;
   sim::Duration epoch = sim::Duration::seconds(1);
   sim::Duration horizon = sim::Duration::seconds(60);
 
-  // Collection.
+  // Collection: every node runs the built-in MMPS workload profile under
+  // the default moneq::DegradationPolicy.
   std::optional<sim::Duration> polling_interval;  // default: hardware floor
-  moneq::DegradationPolicy degradation;
   std::uint64_t seed = 0x5eedf1ee7ull;
-  // Shared read-only workload; nullptr runs the built-in MMPS profile.
-  const power::UtilizationProfile* workload = nullptr;
 
   // Ingest into the environmental database.
   IngestMode ingest = IngestMode::kPerSample;
-  std::size_t ingest_queue_capacity = 4;  // epochs of backpressure headroom
   tsdb::DatabaseOptions database;
 
-  // Output files (nullptr discards them) and the shared-filesystem cost
-  // model applied at finalize (nullptr = free writes).
+  // Output files (nullptr discards them).
   moneq::OutputTarget* output = nullptr;
-  const smpi::FileSystemModel* filesystem = nullptr;
 
   // Fault scripting, applied to each node's injector at configure()
   // time.  Schedules are per-node and on the node's own clock, so fault
   // storms replay identically at any worker count.
   std::function<void(fault::Injector&, int node)> fault_script;
-
-  // Observability (DESIGN.md §11).  `telemetry` gives every node its own
-  // registry partition plus a flight recorder and folds the partitions
-  // into board/rack/fleet rollups at each epoch barrier; `self_scrape`
-  // additionally inserts the fleet rollup into the environmental
-  // database each epoch under the reserved envmon.self.* namespace.
-  bool telemetry = true;
-  bool self_scrape = true;
-  // Fleet-level heartbeat failure detector (failure_detector.hpp): node
-  // liveness Unknown/Alive -> Suspect -> Dead from per-epoch heartbeats,
-  // k-neighbor confirmed, fed to the fleet flight recorder and the
-  // envmon_fleet_nodes_{alive,suspect,dead} gauges.
-  bool failure_detector = true;
-  DetectorPolicy detector;
-  std::size_t recorder_capacity = 256;  // events per flight-recorder ring
-  // Wall-clock budget for a single ingest-queue stall; exceeding it
-  // records a (timing) "queue.deadline_missed" event and triggers a
-  // post-mortem dump after the run.
-  std::optional<double> ingest_deadline_seconds;
-  // When a post-mortem triggers, its JSON is also written to `output`
-  // under this name (empty = keep it in memory only; see post_mortem()).
-  std::string post_mortem_path;
 };
 
 struct FleetReport {
@@ -208,25 +179,11 @@ class FleetRunner {
 
   // Valid after configure().
   [[nodiscard]] tsdb::EnvDatabase& database();
-  [[nodiscard]] std::size_t node_count() const { return nodes_.size(); }
-  // Valid after run() (nodes other than 0 are built lazily during it).
-  [[nodiscard]] const FleetNode& node(std::size_t i) const { return *nodes_[i]; }
-
-  // The failure detector's view of the fleet (nullptr when disabled).
-  [[nodiscard]] const FailureDetector* failure_detector() const { return detector_.get(); }
-
-  // The telemetry hierarchy (nullptr when config.telemetry is false).
-  [[nodiscard]] const obs::FleetTelemetry* telemetry() const { return telemetry_.get(); }
-  // Per-node and fleet-level flight recorders (nullptr when disabled).
-  [[nodiscard]] const obs::FlightRecorder* recorder(std::size_t i) const {
-    return i < recorders_.size() ? recorders_[i].get() : nullptr;
-  }
-  [[nodiscard]] const obs::FlightRecorder* fleet_recorder() const {
-    return fleet_recorder_.get();
-  }
+  // The telemetry hierarchy; valid after configure().
+  [[nodiscard]] const obs::FleetTelemetry& telemetry() const { return *telemetry_; }
   // The post-mortem JSON dumped after run() when a backend quarantined
-  // or the ingest deadline was missed (empty otherwise).  Deterministic:
-  // only kDeterministic events are included.
+  // or the detector declared a node dead (empty otherwise).
+  // Deterministic: only kDeterministic events are included.
   [[nodiscard]] const std::string& post_mortem() const { return post_mortem_; }
 
  private:
@@ -237,9 +194,17 @@ class FleetRunner {
   // ownership — at most one thread ever builds a given rank.
   Status build_node(int rank);
 
+  // Epochs a shard may run ahead of the oldest unmerged epoch: bounds
+  // staged records and capture snapshots in flight.
+  static constexpr std::uint64_t kEpochWindow = 4;
+  // Epochs of backpressure headroom in the ingest queue.
+  static constexpr std::size_t kIngestQueueCapacity = 4;
+  // Events per flight-recorder ring.
+  static constexpr std::size_t kRecorderCapacity = 256;
+
   State state_ = State::kIdle;
   FleetConfig config_;
-  power::UtilizationProfile default_workload_;
+  power::UtilizationProfile workload_;
   NodeDefaults defaults_;  // shared read-only per-node config
   std::unique_ptr<smpi::World> world_;
   std::unique_ptr<tsdb::EnvDatabase> db_;
@@ -247,7 +212,7 @@ class FleetRunner {
   std::vector<int> shard_bounds_;  // shard s owns ranks [b[s], b[s+1])
   std::unique_ptr<obs::FleetTelemetry> telemetry_;
   std::vector<std::unique_ptr<obs::FlightRecorder>> recorders_;  // per node
-  std::unique_ptr<obs::FlightRecorder> fleet_recorder_;
+  obs::FlightRecorder fleet_recorder_{kRecorderCapacity};
   std::unique_ptr<FailureDetector> detector_;
   RecordBufferPool pool_;
   std::uint64_t rss_before_bytes_ = 0;

@@ -101,19 +101,16 @@ std::size_t merge_snapshot(Snapshot& into, const Snapshot& from) {
   return skipped;
 }
 
-FleetTelemetry::FleetTelemetry(int nodes, RollupTopology topology) : topology_(topology) {
-  const int node_count = std::max(nodes, 1);
-  topology_.nodes_per_board = std::max(topology_.nodes_per_board, 1);
-  topology_.boards_per_rack = std::max(topology_.boards_per_rack, 1);
-  node_registries_.reserve(static_cast<std::size_t>(node_count));
-  for (int i = 0; i < node_count; ++i) {
+FleetTelemetry::FleetTelemetry(int nodes) {
+  const auto node_count = static_cast<std::size_t>(std::max(nodes, 1));
+  node_registries_.reserve(node_count);
+  for (std::size_t i = 0; i < node_count; ++i) {
     node_registries_.push_back(std::make_unique<Registry>());
   }
-  node_snapshots_.resize(static_cast<std::size_t>(node_count));
-  const int board_count = (node_count + topology_.nodes_per_board - 1) / topology_.nodes_per_board;
-  const int rack_count = (board_count + topology_.boards_per_rack - 1) / topology_.boards_per_rack;
-  boards_.resize(static_cast<std::size_t>(board_count));
-  racks_.resize(static_cast<std::size_t>(rack_count));
+  node_snapshots_.resize(node_count);
+  const std::size_t board_count = (node_count + kNodesPerBoard - 1) / kNodesPerBoard;
+  boards_.resize(board_count);
+  racks_.resize((board_count + kBoardsPerRack - 1) / kBoardsPerRack);
   if (enabled()) {
     auto& registry = default_registry();
     folds_metric_ = &registry.counter("envmon_fleet_rollup_folds_total",
@@ -123,22 +120,8 @@ FleetTelemetry::FleetTelemetry(int nodes, RollupTopology topology) : topology_(t
   }
 }
 
-void FleetTelemetry::capture(int rank) {
-  // In-place refresh: after the first epoch the slot already mirrors the
-  // registry's key sequence, so only values are written.
-  node_registries_[static_cast<std::size_t>(rank)]->snapshot_into(
-      node_snapshots_[static_cast<std::size_t>(rank)]);
-}
-
 void FleetTelemetry::capture_into(int rank, Snapshot& out) const {
   node_registries_[static_cast<std::size_t>(rank)]->snapshot_into(out);
-}
-
-void FleetTelemetry::fold() {
-  std::vector<const Snapshot*> nodes;
-  nodes.reserve(node_snapshots_.size());
-  for (const Snapshot& s : node_snapshots_) nodes.push_back(&s);
-  fold(nodes);
 }
 
 void FleetTelemetry::fold(std::span<const Snapshot* const> nodes) {
@@ -148,9 +131,8 @@ void FleetTelemetry::fold(std::span<const Snapshot* const> nodes) {
   for (std::size_t b = 0; b < boards_.size(); ++b) {
     Snapshot& board = boards_[b];
     zero_values(board);
-    const std::size_t begin = b * static_cast<std::size_t>(topology_.nodes_per_board);
-    const std::size_t end =
-        std::min(begin + static_cast<std::size_t>(topology_.nodes_per_board), nodes.size());
+    const std::size_t begin = b * kNodesPerBoard;
+    const std::size_t end = std::min(begin + kNodesPerBoard, nodes.size());
     for (std::size_t n = begin; n < end; ++n) {
       if (nodes[n] != nullptr) merge_skipped_ += merge_snapshot(board, *nodes[n]);
     }
@@ -158,9 +140,8 @@ void FleetTelemetry::fold(std::span<const Snapshot* const> nodes) {
   for (std::size_t r = 0; r < racks_.size(); ++r) {
     Snapshot& rack = racks_[r];
     zero_values(rack);
-    const std::size_t begin = r * static_cast<std::size_t>(topology_.boards_per_rack);
-    const std::size_t end = std::min(
-        begin + static_cast<std::size_t>(topology_.boards_per_rack), boards_.size());
+    const std::size_t begin = r * kBoardsPerRack;
+    const std::size_t end = std::min(begin + kBoardsPerRack, boards_.size());
     for (std::size_t b = begin; b < end; ++b) {
       merge_skipped_ += merge_snapshot(rack, boards_[b]);
     }

@@ -12,9 +12,9 @@
 //   node (compute card) -> node board (32 cards) -> rack (32 boards)
 //        -> fleet
 //
-// Each epoch a worker snapshots its nodes' registries (capture(), the
-// only per-node touch); the epoch-barrier completion step then folds the
-// captured snapshots up the tree (fold()).  The fold visits children in
+// Each epoch a worker snapshots its nodes' registries (capture_into(),
+// the only per-node touch); the epoch-merge step then folds the captured
+// snapshots up the tree (fold()).  The fold visits children in
 // ascending index order at every level, so every floating-point
 // accumulation happens in one fixed order: the rolled-up snapshot is a
 // pure function of the node snapshots, byte-identical at any worker
@@ -36,13 +36,6 @@
 
 namespace envmon::obs {
 
-// Children per level of the rollup tree, defaulting to the BG/Q shape
-// (32 compute cards per node board, 16 boards x 2 midplanes per rack).
-struct RollupTopology {
-  int nodes_per_board = 32;
-  int boards_per_rack = 32;
-};
-
 // Accumulates `from` into `into`.  Both must be sorted by (name, labels)
 // — true of every Registry::snapshot().  Returns series skipped because
 // of mismatched histogram bucket layouts.
@@ -50,7 +43,12 @@ std::size_t merge_snapshot(Snapshot& into, const Snapshot& from);
 
 class FleetTelemetry {
  public:
-  explicit FleetTelemetry(int nodes, RollupTopology topology = {});
+  // Children per level of the rollup tree: the BG/Q shape (32 compute
+  // cards per node board, 16 boards x 2 midplanes per rack).
+  static constexpr std::size_t kNodesPerBoard = 32;
+  static constexpr std::size_t kBoardsPerRack = 32;
+
+  explicit FleetTelemetry(int nodes);
   FleetTelemetry(const FleetTelemetry&) = delete;
   FleetTelemetry& operator=(const FleetTelemetry&) = delete;
 
@@ -62,26 +60,18 @@ class FleetTelemetry {
   // profiler/backends at configure() time.
   [[nodiscard]] Registry& node_registry(int rank) { return *node_registries_[static_cast<std::size_t>(rank)]; }
 
-  // Snapshots `rank`'s registry into its epoch slot.  Called by the
-  // worker that owns the rank (each slot has exactly one writer); the
-  // snapshot itself locks only that node's registry mutex.
-  void capture(int rank);
-
-  // Snapshots `rank`'s registry into a caller-owned buffer instead of the
-  // internal slot.  The work-stealing fleet scheduler captures into
-  // shard-local deposit buffers so a fast shard's next-epoch capture can
-  // never overwrite a slot an unmerged epoch still needs; steady-state
-  // refresh is in-place (Registry::snapshot_into).
+  // Snapshots `rank`'s registry into a caller-owned buffer.  Called by
+  // the worker that owns the rank; the snapshot itself locks only that
+  // node's registry mutex.  The work-stealing fleet scheduler captures
+  // into shard-local deposit buffers so a fast shard's next-epoch
+  // capture can never overwrite one an unmerged epoch still needs;
+  // steady-state refresh is in-place (Registry::snapshot_into).
   void capture_into(int rank, Snapshot& out) const;
 
-  // Folds the captured node snapshots up the tree: boards, racks, fleet.
+  // Folds node snapshots (index = rank, size = node_count(); null
+  // entries merge as empty) up the tree: boards, racks, fleet.
   // Single-threaded by contract (the scheduler's epoch merge point) and
   // deterministic (fixed child order at every level).
-  void fold();
-
-  // Same fold, but reading node snapshots from `nodes` (index = rank,
-  // size = node_count()) rather than the internal capture slots.  Used
-  // with capture_into() under epoch skew; null entries merge as empty.
   void fold(std::span<const Snapshot* const> nodes);
 
   // Adopts a capture produced by capture_into() as `rank`'s internal
@@ -92,7 +82,8 @@ class FleetTelemetry {
     node_snapshots_[static_cast<std::size_t>(rank)] = std::move(snapshot);
   }
 
-  // Rollups from the most recent fold() (empty before the first).
+  // Rollups from the most recent fold() (empty before the first);
+  // node_capture() reads what store_capture() adopted.
   [[nodiscard]] const Snapshot& board_rollup(int board) const {
     return boards_[static_cast<std::size_t>(board)];
   }
@@ -108,9 +99,8 @@ class FleetTelemetry {
   [[nodiscard]] std::uint64_t merge_skipped() const { return merge_skipped_; }
 
  private:
-  RollupTopology topology_;
   std::vector<std::unique_ptr<Registry>> node_registries_;
-  std::vector<Snapshot> node_snapshots_;  // slot[rank], written by capture()
+  std::vector<Snapshot> node_snapshots_;  // slot[rank], written by store_capture()
   std::vector<Snapshot> boards_;
   std::vector<Snapshot> racks_;
   Snapshot fleet_;

@@ -15,7 +15,7 @@
 // count, the property tests/obs_fleet_telemetry_test.cpp gates.
 //
 // Events carry an EventClass: kDeterministic events replay exactly;
-// kTiming events (queue stalls, deadline misses) depend on wall-clock
+// kTiming events (queue stalls) depend on wall-clock
 // scheduling and live in a separate ring so they can never evict — or
 // perturb — the deterministic record.  dump_post_mortem() excludes them
 // unless explicitly asked.
@@ -34,7 +34,7 @@ namespace envmon::obs {
 
 enum class EventClass : std::uint8_t {
   kDeterministic = 0,  // pure function of (seed, config); safe to golden-test
-  kTiming = 1,         // wall-clock dependent (stalls, deadline misses)
+  kTiming = 1,         // wall-clock dependent (queue stalls)
 };
 
 struct RecorderEvent {
@@ -103,7 +103,7 @@ class FlightRecorder {
 //    "recorded": N, "dropped": M}
 // Timestamps are integer nanoseconds, so the output is byte-exact.
 // `trigger` says why the dump exists ("backend quarantined: ...",
-// "ingest deadline missed", or "manual").
+// "node declared dead: ...", or "manual").
 [[nodiscard]] std::string dump_post_mortem(std::string_view trigger,
                                            std::span<const FlightRecorder* const> recorders,
                                            bool include_timing = false);

@@ -8,6 +8,8 @@
 
 #include <atomic>
 #include <chrono>
+#include <cstdlib>
+#include <filesystem>
 #include <string>
 #include <thread>
 #include <vector>
@@ -215,18 +217,63 @@ TEST(Fleet, LargeFleetIsByteIdenticalAcrossThreadCounts) {
 }
 
 TEST(Fleet, ReportCarriesSchedulerAndMemoryAccounting) {
+  // The shard count is automatic: min(nodes, 4 x threads).
   FleetConfig config = small_fleet();
+  config.threads = 2;
+  EXPECT_EQ(run_fleet(config).report.shards, 8);
   config.threads = 4;
-  config.shards = 8;
-  config.epoch_window = 2;
   const RunOutput out = run_fleet(std::move(config));
-  EXPECT_EQ(out.report.shards, 8);
+  EXPECT_EQ(out.report.shards, 12);
   EXPECT_EQ(out.report.nodes_alive, 12);
   EXPECT_EQ(out.report.liveness_transitions, 12u);
   // Linux hosts report RSS; the per-node share derives from it.
   if (out.report.rss_bytes > 0) {
     EXPECT_GE(out.report.peak_rss_bytes, out.report.rss_bytes);
     EXPECT_GT(out.report.bytes_per_node, 0.0);
+  }
+}
+
+// A durable fleet store: open() between configure() and run(), over a
+// horizon long enough for the ingest thread's 64-batch seal/flush
+// schedule to fire.  Returns the store's CSV as the run left it; the
+// runner is destroyed on return, after close() or — the crash model —
+// without it.
+std::string run_durable_fleet(const std::string& dir, bool close) {
+  FleetConfig config;
+  config.nodes = 4;
+  config.capabilities = {moneq::Capability::kBgqEmon};
+  config.epoch = Duration::seconds(1);
+  config.horizon = Duration::seconds(72);
+  config.ingest = fleet::IngestMode::kNodePower;
+  config.database.max_insert_rate_per_second = 0.0;
+  FleetRunner runner;
+  EXPECT_TRUE(runner.configure(std::move(config)).is_ok());
+  EXPECT_TRUE(runner.database().open(dir).is_ok());
+  EXPECT_TRUE(runner.run().is_ok());
+  EXPECT_GT(runner.report().value().epochs, fleet::IngestWorker::kSealInterval);
+  std::string csv = tsdb::export_csv(runner.database());
+  if (close) {
+    EXPECT_TRUE(runner.database().close().is_ok());
+  }
+  return csv;
+}
+
+TEST(Fleet, DurableStoreReopensByteIdenticalAfterCloseAndCrash) {
+  for (const bool close : {true, false}) {
+    SCOPED_TRACE(close ? "after close()" : "after a crash");
+    char tmpl[] = "/tmp/envmon_fleet_XXXXXX";
+    const std::string dir = ::mkdtemp(tmpl);
+    const std::string live = run_durable_fleet(dir, close);
+    EXPECT_NE(live.find("moneq_node_power_watts"), std::string::npos);
+    EXPECT_NE(live.find("envmon.self."), std::string::npos);
+    {
+      tsdb::EnvDatabase reopened;
+      ASSERT_TRUE(reopened.open(dir).is_ok());
+      EXPECT_TRUE(reopened.recovery_info().recovered);
+      EXPECT_EQ(tsdb::export_csv(reopened), live);
+    }
+    std::error_code ec;
+    std::filesystem::remove_all(dir, ec);
   }
 }
 

@@ -336,8 +336,7 @@ TelemetryRun run_storm_fleet(int threads) {
   EXPECT_TRUE(runner.run().is_ok());
 
   TelemetryRun out;
-  EXPECT_NE(runner.telemetry(), nullptr);
-  out.rollup_json = obs::export_json(runner.telemetry()->fleet_rollup());
+  out.rollup_json = obs::export_json(runner.telemetry().fleet_rollup());
   out.post_mortem = runner.post_mortem();
   const auto report = runner.report();
   EXPECT_TRUE(report.is_ok());
@@ -382,30 +381,29 @@ TEST(FleetTelemetry, RollupTreeIsConsistent) {
   FleetRunner runner;
   ASSERT_TRUE(runner.configure(std::move(config)).is_ok());
   ASSERT_TRUE(runner.run().is_ok());
-  const obs::FleetTelemetry* telemetry = runner.telemetry();
-  ASSERT_NE(telemetry, nullptr);
+  const obs::FleetTelemetry& telemetry = runner.telemetry();
 
   // 12 nodes fit in one board of one rack, so every level of the tree
   // rolls up to the same snapshot.
-  EXPECT_EQ(telemetry->node_count(), 12);
-  EXPECT_EQ(telemetry->board_count(), 1);
-  EXPECT_EQ(telemetry->rack_count(), 1);
-  EXPECT_EQ(obs::export_json(telemetry->board_rollup(0)), obs::export_json(telemetry->fleet_rollup()));
-  EXPECT_EQ(obs::export_json(telemetry->rack_rollup(0)), obs::export_json(telemetry->fleet_rollup()));
-  EXPECT_EQ(telemetry->folds(), 4u);  // one fold per epoch
-  EXPECT_EQ(telemetry->merge_skipped(), 0u);
+  EXPECT_EQ(telemetry.node_count(), 12);
+  EXPECT_EQ(telemetry.board_count(), 1);
+  EXPECT_EQ(telemetry.rack_count(), 1);
+  EXPECT_EQ(obs::export_json(telemetry.board_rollup(0)), obs::export_json(telemetry.fleet_rollup()));
+  EXPECT_EQ(obs::export_json(telemetry.rack_rollup(0)), obs::export_json(telemetry.fleet_rollup()));
+  EXPECT_EQ(telemetry.folds(), 4u);  // one fold per epoch
+  EXPECT_EQ(telemetry.merge_skipped(), 0u);
 
   // The fleet counter is the sum of the per-node captures: per-node
   // attribution survives the rollup.
   std::uint64_t node_sum = 0;
-  for (int rank = 0; rank < telemetry->node_count(); ++rank) {
-    for (const auto& c : telemetry->node_capture(rank).counters) {
+  for (int rank = 0; rank < telemetry.node_count(); ++rank) {
+    for (const auto& c : telemetry.node_capture(rank).counters) {
       if (c.name == "envmon_profiler_polls_total") node_sum += c.value;
     }
   }
   EXPECT_GT(node_sum, 0u);
   std::uint64_t fleet_value = 0;
-  for (const auto& c : telemetry->fleet_rollup().counters) {
+  for (const auto& c : telemetry.fleet_rollup().counters) {
     if (c.name == "envmon_profiler_polls_total") fleet_value = c.value;
   }
   EXPECT_EQ(fleet_value, node_sum);
@@ -450,7 +448,7 @@ TEST(FleetTelemetry, SelfScrapeRowsAreQueryableAndBypassRateCeiling) {
   // The last scrape equals the final fleet rollup: the scrape *is* the
   // rollup, rendered as records.
   std::uint64_t fleet_value = 0;
-  for (const auto& c : runner.telemetry()->fleet_rollup().counters) {
+  for (const auto& c : runner.telemetry().fleet_rollup().counters) {
     if (c.name == "envmon_profiler_polls_total") fleet_value = c.value;
   }
   EXPECT_GT(fleet_value, 0u);
@@ -469,30 +467,6 @@ TEST(FleetTelemetry, SelfScrapeRowsAreQueryableAndBypassRateCeiling) {
   for (const auto& row : self_rows) {
     EXPECT_TRUE(tsdb::is_self_metric(row.metric)) << row.metric;
   }
-}
-
-TEST(FleetTelemetry, SelfScrapeCanBeDisabled) {
-  FleetConfig config;
-  config.nodes = 2;
-  config.capabilities = {moneq::Capability::kBgqEmon};
-  config.epoch = Duration::seconds(1);
-  config.horizon = Duration::seconds(2);
-  config.ingest = fleet::IngestMode::kNodePower;
-  config.database.max_insert_rate_per_second = 0.0;
-  config.self_scrape = false;
-  moneq::MemoryOutput output;
-  config.output = &output;
-
-  FleetRunner runner;
-  ASSERT_TRUE(runner.configure(std::move(config)).is_ok());
-  ASSERT_TRUE(runner.run().is_ok());
-  EXPECT_EQ(runner.report().value().self_scrape_rows, 0u);
-  tsdb::QueryFilter filter;
-  filter.location_prefix = tsdb::rack_location(fleet::kSelfTelemetryRack);
-  EXPECT_TRUE(runner.database().query(filter).empty());
-  // Telemetry itself is still on: the rollup exists.
-  ASSERT_NE(runner.telemetry(), nullptr);
-  EXPECT_GT(runner.telemetry()->folds(), 0u);
 }
 
 // ---------------------------------------------------------------------------
