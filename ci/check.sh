@@ -22,14 +22,20 @@
 #      also holds the decode kernels bit-identical to the reference
 #      decoders on the sensor-shaped column and timestamp stream
 #      (PropCodec.SensorColumnAndCadenceStreamDecodeBitIdentical,
-#      DESIGN.md §15's identity contract) in every pass that runs it;
+#      DESIGN.md §15's identity contract), the MonEQ node file's bytes
+#      against a checked-in golden file (NodeFileGolden), and the
+#      node-file number formatting against printf("%.*f")
+#      (PropFixed.AppendFixedMatchesPrintf) in every pass
+#      that runs it;
 #   8. ASan+UBSan build of the obs + fleet + persist + daemon + prop +
 #      tsdb + resilience labels (the suites that exercise the telemetry
 #      rollup, flight recorders, the ingest path, the durable storage
 #      layer, the wire protocol, the randomized codec/fold/engine
 #      properties, the scan pipeline's read path, and graceful
 #      degradation under the seeded fault storm — the garbage-decode
-#      properties are the UBSan workload for the bit-level kernels);
+#      properties are the UBSan workload for the bit-level kernels, and
+#      PropFixed.* the ASan workload for the fixed stack buffers the
+#      node-file and export renderers format numbers into);
 #   9. TSan build of the same labels — the fleet suite's 8-worker
 #      byte-equality tests, the daemon suite's multi-client
 #      server/client runs, and the tsdb suite's 4-thread query tests

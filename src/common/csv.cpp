@@ -1,19 +1,49 @@
 #include "common/csv.hpp"
 
+#include <algorithm>
+#include <charconv>
+#include <limits>
+
 namespace envmon {
 
 namespace {
 
-bool needs_quoting(const std::string& field, char delim) {
+bool needs_quoting(std::string_view field, char delim) {
   for (const char c : field) {
     if (c == delim || c == '"' || c == '\n' || c == '\r') return true;
   }
   return false;
 }
 
+constexpr int kMaxFixedPrecision = 17;
+// "-", the 309 integer digits of DBL_MAX, ".", the fraction.
+constexpr int kMaxFixedChars =
+    1 + (std::numeric_limits<double>::max_exponent10 + 1) + 1 + kMaxFixedPrecision;
+
 }  // namespace
 
-void CsvWriter::write_field(const std::string& field, bool first) {
+void append_fixed(std::string& out, double v, int precision) {
+  char buf[kMaxFixedChars];
+  // Cannot fail: the buffer holds -DBL_MAX at the largest precision.
+  const auto r = std::to_chars(buf, buf + sizeof(buf), v, std::chars_format::fixed,
+                               std::clamp(precision, 0, kMaxFixedPrecision));
+  out.append(buf, r.ptr);
+}
+
+void append_csv_field(std::string& out, std::string_view field) {
+  if (!needs_quoting(field, ',')) {
+    out += field;
+    return;
+  }
+  out += '"';
+  for (const char c : field) {
+    if (c == '"') out += '"';
+    out += c;
+  }
+  out += '"';
+}
+
+void CsvWriter::write_field(std::string_view field, bool first) {
   if (!first) *os_ << delim_;
   if (needs_quoting(field, delim_)) {
     *os_ << '"';

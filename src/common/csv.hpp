@@ -5,6 +5,10 @@
 // bench harness also emits its figure series as CSV so they can be plotted
 // externally.  Quoting follows RFC 4180: fields containing the delimiter,
 // quotes, or newlines are quoted, embedded quotes doubled.
+//
+// Hot writers (the MonEQ node-file spool, tsdb::export_csv) skip the
+// stream and append straight into a std::string with append_fixed and
+// append_csv_field; CsvWriter quotes fields by the same rule.
 
 #include <ostream>
 #include <string>
@@ -42,12 +46,21 @@ class CsvWriter {
     return std::to_string(v);
   }
 
-  void write_field(const std::string& field, bool first);
+  void write_field(std::string_view field, bool first);
 
   std::ostream* os_;
   char delim_;
   std::size_t rows_written_ = 0;
 };
+
+// Appends `v` exactly as printf("%.*f", precision, v) prints it in the C
+// locale ("nan", "-inf", "-0.000000" included): std::to_chars in fixed
+// notation rounds the exact binary value, as glibc does.  `precision` is
+// clamped to [0, 17]; every caller uses 0..6.
+void append_fixed(std::string& out, double v, int precision);
+
+// Appends one comma-separated field, quoted by CsvWriter's RFC 4180 rule.
+void append_csv_field(std::string& out, std::string_view field);
 
 struct CsvTable {
   std::vector<std::string> header;

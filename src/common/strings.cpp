@@ -3,7 +3,9 @@
 #include <algorithm>
 #include <cctype>
 #include <charconv>
-#include <cstdio>
+#include <cstdlib>
+
+#include "common/csv.hpp"
 
 namespace envmon {
 
@@ -47,9 +49,9 @@ std::string join(const std::vector<std::string>& parts, std::string_view sep) {
 }
 
 std::string format_double(double v, int precision) {
-  char buf[64];
-  std::snprintf(buf, sizeof(buf), "%.*f", precision, v);
-  return buf;
+  std::string out;
+  append_fixed(out, v, precision);
+  return out;
 }
 
 bool parse_double(std::string_view s, double& out) {

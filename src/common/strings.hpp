@@ -16,7 +16,8 @@ namespace envmon {
 // join({"a","b"}, ",") -> "a,b"
 [[nodiscard]] std::string join(const std::vector<std::string>& parts, std::string_view sep);
 
-// Fixed-precision double formatting ("%.3f"-style) without locale surprises.
+// Fixed-precision double formatting ("%.3f"-style) without locale surprises
+// or a length limit: the bytes append_fixed (common/csv.hpp) appends.
 [[nodiscard]] std::string format_double(double v, int precision);
 
 // Parse helpers returning false on malformed input instead of throwing.

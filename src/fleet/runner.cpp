@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <chrono>
+#include <optional>
 #include <string>
 #include <thread>
 #include <utility>
@@ -189,7 +190,7 @@ Status FleetRunner::run() {
   // epochs past the oldest unmerged one).
   struct ShardDeposit {
     std::vector<NodeBatch> nodes;        // staged records, node order
-    std::vector<obs::Snapshot> snaps;    // telemetry capture per rank
+    std::vector<obs::SnapshotValues> snaps;  // telemetry capture per rank
     std::vector<std::uint8_t> beats;     // heartbeat per rank
     std::size_t rows = 0;
     std::uint64_t epoch = 0;             // last epoch deposited here
@@ -247,9 +248,8 @@ Status FleetRunner::run() {
 
     const auto capture_began = std::chrono::steady_clock::now();
     if (dep.snaps.empty()) {
-      // Cold slot: adopt the warm snapshots (series strings, vector
-      // capacity) of an already-merged sibling slot instead of
-      // rebuilding them.  This bounds cold captures per shard by the
+      // Cold slot: adopt the warm captures (their vector capacity) of
+      // an already-merged sibling slot instead of allocating afresh.  This bounds cold captures per shard by the
       // run's *actual* epoch skew — 1 in a sequential run — rather
       // than by the window.  Safe: this worker owns every slot of the
       // shard, and the merger never rereads epochs <= last_merged
@@ -283,9 +283,11 @@ Status FleetRunner::run() {
   std::size_t self_rows = 0;
   double fold_seconds = 0.0;
   std::uint64_t transitions_seen = 0;
-  auto epoch_began = std::chrono::steady_clock::now();
-  std::vector<const obs::Snapshot*> snapshot_ptrs(static_cast<std::size_t>(config_.nodes),
-                                                  nullptr);
+  // Epoch wall time is merge to merge: the first merge only starts the
+  // clock, so no sample covers the lazy construction of the nodes.
+  std::optional<std::chrono::steady_clock::time_point> last_merge;
+  std::vector<const obs::SnapshotValues*> snapshot_ptrs(
+      static_cast<std::size_t>(config_.nodes), nullptr);
   std::vector<std::uint8_t> heartbeats(static_cast<std::size_t>(config_.nodes), 0);
 
   auto complete_epoch = [&](std::uint64_t epoch) -> Status {
@@ -332,10 +334,10 @@ Status FleetRunner::run() {
     if (staged_metric_ != nullptr) staged_metric_->inc(batch.rows);
     if (batch.rows > 0) queue.push(std::move(batch));
     if (epochs_metric_ != nullptr) epochs_metric_->inc();
-    if (epoch_seconds_metric_ != nullptr) {
-      epoch_seconds_metric_->observe(seconds_since(epoch_began));
+    if (epoch_seconds_metric_ != nullptr && last_merge.has_value()) {
+      epoch_seconds_metric_->observe(seconds_since(*last_merge));
     }
-    epoch_began = std::chrono::steady_clock::now();
+    last_merge = std::chrono::steady_clock::now();
     last_merged.store(epoch, std::memory_order_release);
     return Status::ok();
   };

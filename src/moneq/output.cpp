@@ -1,11 +1,10 @@
 #include "moneq/output.hpp"
 
+#include <charconv>
 #include <cstdio>
 #include <fstream>
-#include <sstream>
 
 #include "common/csv.hpp"
-#include "common/strings.hpp"
 
 namespace envmon::moneq {
 
@@ -33,41 +32,52 @@ std::string render_node_file(std::span<const Sample> samples,
 }
 
 void append_node_file_header(std::string& out) {
-  std::ostringstream os;
-  CsvWriter csv(os);
-  csv.row("time_s", "domain", "quantity", "unit", "value");
-  out += os.str();
+  out += "time_s,domain,quantity,unit,value\n";
 }
 
+// Rows are rendered straight into the spool: append_fixed prints the
+// bytes "%.6f" would, and names are quoted as CsvWriter quotes them.
 void append_sample_rows(std::string& out, std::span<const Sample> samples) {
-  if (samples.empty()) return;
-  std::ostringstream os;
-  CsvWriter csv(os);
   for (const auto& s : samples) {
-    csv.row(format_double(s.t.to_seconds(), 6), s.domain,
-            static_cast<int>(s.quantity), unit_string(s.quantity),
-            format_double(s.value, 6));
+    append_fixed(out, s.t.to_seconds(), 6);
+    out += ',';
+    append_csv_field(out, s.domain);
+    char quantity[4];
+    const auto q = std::to_chars(quantity, quantity + sizeof(quantity),
+                                 static_cast<int>(s.quantity));
+    out += ',';
+    out.append(quantity, q.ptr);
+    out += ',';
+    append_csv_field(out, unit_string(s.quantity));
+    out += ',';
+    append_fixed(out, s.value, 6);
+    out += '\n';
   }
-  out += os.str();
 }
 
 void append_marker_rows(std::string& out, std::span<const TagMarker> tags,
                         std::span<const GapMarker> gaps) {
-  std::ostringstream os;
-  CsvWriter csv(os);
   // Tag markers are appended post-run ("the injection happens after the
   // program has completed").
   for (const auto& tag : tags) {
-    csv.row(format_double(tag.t.to_seconds(), 6), tag.name,
-            tag.is_start ? "#TAG_START" : "#TAG_END", "", "");
+    append_fixed(out, tag.t.to_seconds(), 6);
+    out += ',';
+    append_csv_field(out, tag.name);
+    out += tag.is_start ? ",#TAG_START,,\n" : ",#TAG_END,,\n";
   }
   // Gap markers follow the tags, same sentinel scheme.
   for (const auto& gap : gaps) {
-    csv.row(format_double(gap.t.to_seconds(), 6), gap.backend,
-            gap.is_start ? "#GAP_START" : "#GAP_END", "",
-            gap.is_start ? gap.reason : std::string());
+    append_fixed(out, gap.t.to_seconds(), 6);
+    out += ',';
+    append_csv_field(out, gap.backend);
+    if (gap.is_start) {
+      out += ",#GAP_START,,";
+      append_csv_field(out, gap.reason);
+      out += '\n';
+    } else {
+      out += ",#GAP_END,,\n";
+    }
   }
-  out += os.str();
 }
 
 std::string node_file_name(int rank) {

@@ -74,6 +74,10 @@ void zero_values(Snapshot& snapshot) {
   }
 }
 
+std::size_t row_count(const Snapshot& snapshot) {
+  return snapshot.counters.size() + snapshot.gauges.size() + snapshot.histograms.size();
+}
+
 }  // namespace
 
 std::size_t merge_snapshot(Snapshot& into, const Snapshot& from) {
@@ -107,9 +111,11 @@ FleetTelemetry::FleetTelemetry(int nodes) {
   for (std::size_t i = 0; i < node_count; ++i) {
     node_registries_.push_back(std::make_unique<Registry>());
   }
-  node_snapshots_.resize(node_count);
+  node_values_.resize(node_count);
+  matched_.resize(node_count);
   const std::size_t board_count = (node_count + kNodesPerBoard - 1) / kNodesPerBoard;
   boards_.resize(board_count);
+  board_shapes_.resize(board_count, 0);
   racks_.resize((board_count + kBoardsPerRack - 1) / kBoardsPerRack);
   if (enabled()) {
     auto& registry = default_registry();
@@ -120,21 +126,54 @@ FleetTelemetry::FleetTelemetry(int nodes) {
   }
 }
 
-void FleetTelemetry::capture_into(int rank, Snapshot& out) const {
-  node_registries_[static_cast<std::size_t>(rank)]->snapshot_into(out);
+void FleetTelemetry::capture_into(int rank, SnapshotValues& out) const {
+  node_registries_[static_cast<std::size_t>(rank)]->values_into(out);
 }
 
-void FleetTelemetry::fold(std::span<const Snapshot* const> nodes) {
+void FleetTelemetry::fold_node(std::size_t board, std::size_t rank,
+                               const SnapshotValues& values) {
+  Snapshot& rows = boards_[board];
+  const Registry& registry = *node_registries_[rank];
+  Matched& matched = matched_[rank];
+  const bool known = matched.source == values.layout_source &&
+                     matched.version == values.layout_version &&
+                     matched.board_shape == board_shapes_[board];
+  if (!known) ++key_checks_;
+  if (!known && !registry.keys_match(values, rows)) {
+    // A different or stale layout: merge by key, as for any two
+    // snapshots.  A keyed merge only ever adds rows, so the board's
+    // keys changed exactly when its row count did.
+    const std::size_t before = row_count(rows);
+    merge_skipped_ += merge_snapshot(rows, registry.snapshot_of(values));
+    if (row_count(rows) != before) ++board_shapes_[board];
+    return;
+  }
+  matched = {values.layout_source, values.layout_version, board_shapes_[board]};
+  // The same accumulation, in the same order, as merge_snapshot()'s
+  // path for identical keys.
+  for (std::size_t i = 0; i < rows.counters.size(); ++i) {
+    rows.counters[i].value += values.counters[i];
+  }
+  for (std::size_t i = 0; i < rows.gauges.size(); ++i) rows.gauges[i].value += values.gauges[i];
+  std::size_t slot = 0;
+  for (std::size_t i = 0; i < rows.histograms.size(); ++i) {
+    Snapshot::HistogramRow& h = rows.histograms[i];
+    for (auto& count : h.bucket_counts) count += values.histogram_counts[slot++];
+    h.count += values.histogram_counts[slot++];
+    h.sum += values.histogram_sums[i];
+  }
+}
+
+void FleetTelemetry::fold(std::span<const SnapshotValues* const> nodes) {
   // Rollup snapshots persist across folds: zero the values, keep the
-  // structure, and let the in-place merge path do the accumulation.
+  // structure, and let the in-place path do the accumulation.
   // (Registries never remove series, so stale rows cannot linger.)
   for (std::size_t b = 0; b < boards_.size(); ++b) {
-    Snapshot& board = boards_[b];
-    zero_values(board);
+    zero_values(boards_[b]);
     const std::size_t begin = b * kNodesPerBoard;
     const std::size_t end = std::min(begin + kNodesPerBoard, nodes.size());
     for (std::size_t n = begin; n < end; ++n) {
-      if (nodes[n] != nullptr) merge_skipped_ += merge_snapshot(board, *nodes[n]);
+      if (nodes[n] != nullptr) fold_node(b, n, *nodes[n]);
     }
   }
   for (std::size_t r = 0; r < racks_.size(); ++r) {
@@ -153,8 +192,7 @@ void FleetTelemetry::fold(std::span<const Snapshot* const> nodes) {
   ++folds_;
   if (folds_metric_ != nullptr) folds_metric_->inc();
   if (series_metric_ != nullptr) {
-    series_metric_->set(static_cast<double>(fleet_.counters.size() + fleet_.gauges.size() +
-                                            fleet_.histograms.size()));
+    series_metric_->set(static_cast<double>(row_count(fleet_)));
   }
 }
 

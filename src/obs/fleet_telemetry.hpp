@@ -12,9 +12,9 @@
 //   node (compute card) -> node board (32 cards) -> rack (32 boards)
 //        -> fleet
 //
-// Each epoch a worker snapshots its nodes' registries (capture_into(),
+// Each epoch a worker captures its nodes' registry values (capture_into(),
 // the only per-node touch); the epoch-merge step then folds the captured
-// snapshots up the tree (fold()).  The fold visits children in
+// values up the tree (fold()).  The fold visits children in
 // ascending index order at every level, so every floating-point
 // accumulation happens in one fixed order: the rolled-up snapshot is a
 // pure function of the node snapshots, byte-identical at any worker
@@ -60,26 +60,29 @@ class FleetTelemetry {
   // profiler/backends at configure() time.
   [[nodiscard]] Registry& node_registry(int rank) { return *node_registries_[static_cast<std::size_t>(rank)]; }
 
-  // Snapshots `rank`'s registry into a caller-owned buffer.  Called by
-  // the worker that owns the rank; the snapshot itself locks only that
-  // node's registry mutex.  The work-stealing fleet scheduler captures
-  // into shard-local deposit buffers so a fast shard's next-epoch
-  // capture can never overwrite one an unmerged epoch still needs;
-  // steady-state refresh is in-place (Registry::snapshot_into).
-  void capture_into(int rank, Snapshot& out) const;
+  // Captures `rank`'s registry values into a caller-owned buffer.
+  // Called by the worker that owns the rank; the capture itself locks
+  // only that node's registry mutex.  The work-stealing fleet scheduler
+  // captures into shard-local deposit buffers so a fast shard's
+  // next-epoch capture can never overwrite one an unmerged epoch still
+  // needs (Registry::values_into).
+  void capture_into(int rank, SnapshotValues& out) const;
 
-  // Folds node snapshots (index = rank, size = node_count(); null
+  // Folds node captures (index = rank, size = node_count(); null
   // entries merge as empty) up the tree: boards, racks, fleet.
   // Single-threaded by contract (the scheduler's epoch merge point) and
-  // deterministic (fixed child order at every level).
-  void fold(std::span<const Snapshot* const> nodes);
+  // deterministic (fixed child order at every level).  A capture whose
+  // keys match its board's rows adds position by position; the keys are
+  // compared once per node, capture layout and board shape, not every
+  // epoch.
+  void fold(std::span<const SnapshotValues* const> nodes);
 
   // Adopts a capture produced by capture_into() as `rank`'s internal
   // slot.  The work-stealing runner deposits captures shard-locally
   // during the run and moves the final epoch's set here afterwards, so
   // node_capture() still reads the last-folded per-node state.
-  void store_capture(int rank, Snapshot&& snapshot) {
-    node_snapshots_[static_cast<std::size_t>(rank)] = std::move(snapshot);
+  void store_capture(int rank, SnapshotValues&& values) {
+    node_values_[static_cast<std::size_t>(rank)] = std::move(values);
   }
 
   // Rollups from the most recent fold() (empty before the first);
@@ -91,21 +94,39 @@ class FleetTelemetry {
     return racks_[static_cast<std::size_t>(rack)];
   }
   [[nodiscard]] const Snapshot& fleet_rollup() const { return fleet_; }
-  [[nodiscard]] const Snapshot& node_capture(int rank) const {
-    return node_snapshots_[static_cast<std::size_t>(rank)];
+  [[nodiscard]] Snapshot node_capture(int rank) const {
+    return node_registries_[static_cast<std::size_t>(rank)]->snapshot_of(
+        node_values_[static_cast<std::size_t>(rank)]);
   }
 
   [[nodiscard]] std::uint64_t folds() const { return folds_; }
   [[nodiscard]] std::uint64_t merge_skipped() const { return merge_skipped_; }
+  // Node key comparisons (Registry::keys_match) across folds: one when a
+  // node's capture layout or its board's shape changed since its keys
+  // last matched, and one every fold for a node whose keys do not.
+  [[nodiscard]] std::uint64_t key_checks() const { return key_checks_; }
 
  private:
+  // The capture layout and board shape under which a node's keys last
+  // matched its board's rows (Registry::keys_match).
+  struct Matched {
+    const void* source = nullptr;
+    std::uint64_t version = 0;
+    std::uint64_t board_shape = 0;
+  };
+
+  void fold_node(std::size_t board, std::size_t rank, const SnapshotValues& values);
+
   std::vector<std::unique_ptr<Registry>> node_registries_;
-  std::vector<Snapshot> node_snapshots_;  // slot[rank], written by store_capture()
+  std::vector<SnapshotValues> node_values_;  // slot[rank], written by store_capture()
+  std::vector<Matched> matched_;             // [rank]
+  std::vector<std::uint64_t> board_shapes_;  // [board], bumped when its keys change
   std::vector<Snapshot> boards_;
   std::vector<Snapshot> racks_;
   Snapshot fleet_;
   std::uint64_t folds_ = 0;
   std::uint64_t merge_skipped_ = 0;
+  std::uint64_t key_checks_ = 0;
 
   Counter* folds_metric_ = nullptr;
   Gauge* series_metric_ = nullptr;

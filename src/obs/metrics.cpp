@@ -85,7 +85,8 @@ Counter& Registry::counter(std::string_view name, std::string_view help,
   if (!entry.metric) {
     entry.help = std::string(help);
     entry.metric = &counter_arena_.emplace_back();
-    ++layout_version_;
+    entry.since = ++layout_version_;
+    build_plan();
   }
   return *entry.metric;
 }
@@ -97,7 +98,8 @@ Gauge& Registry::gauge(std::string_view name, std::string_view help,
   if (!entry.metric) {
     entry.help = std::string(help);
     entry.metric = &gauge_arena_.emplace_back();
-    ++layout_version_;
+    entry.since = ++layout_version_;
+    build_plan();
   }
   return *entry.metric;
 }
@@ -109,17 +111,59 @@ Histogram& Registry::histogram(std::string_view name, std::string_view help,
   if (!entry.metric) {
     entry.help = std::string(help);
     entry.metric = &histogram_arena_.emplace_back(std::move(bounds));
-    ++layout_version_;
+    entry.since = ++layout_version_;
+    build_plan();
   }
   return *entry.metric;
 }
 
+void Registry::build_plan() {
+  plan_counters_.clear();
+  for (const auto& [key, entry] : counters_) plan_counters_.push_back(entry.metric);
+  plan_gauges_.clear();
+  for (const auto& [key, entry] : gauges_) plan_gauges_.push_back(entry.metric);
+  plan_histograms_.clear();
+  plan_histogram_slots_ = 0;
+  for (const auto& [key, entry] : histograms_) {
+    plan_histograms_.push_back(entry.metric);
+    plan_histogram_slots_ += entry.metric->bounds().size() + 2;
+  }
+}
+
+Snapshot Registry::snapshot() const {
+  SnapshotValues values;
+  values_into(values);
+  return snapshot_of(values);
+}
+
+void Registry::values_into(SnapshotValues& out) const {
+  const std::scoped_lock lock(mutex_);
+  out.counters.resize(plan_counters_.size());
+  for (std::size_t i = 0; i < plan_counters_.size(); ++i) {
+    out.counters[i] = plan_counters_[i]->value();
+  }
+  out.gauges.resize(plan_gauges_.size());
+  for (std::size_t i = 0; i < plan_gauges_.size(); ++i) out.gauges[i] = plan_gauges_[i]->value();
+  out.histogram_counts.resize(plan_histogram_slots_);
+  out.histogram_sums.resize(plan_histograms_.size());
+  std::size_t slot = 0;
+  for (std::size_t i = 0; i < plan_histograms_.size(); ++i) {
+    const Histogram* h = plan_histograms_[i];
+    for (std::size_t b = 0; b <= h->bounds().size(); ++b) {
+      out.histogram_counts[slot++] = h->bucket_count(b);
+    }
+    out.histogram_counts[slot++] = h->count();
+    out.histogram_sums[i] = h->sum();
+  }
+  out.layout_source = this;
+  out.layout_version = layout_version_;
+}
+
 namespace {
 
-// True when `rows` already mirrors the map's key sequence, so a refresh
-// can overwrite values in place without touching any string.
+// True when `rows` mirrors the map's key sequence.
 template <typename Row, typename Map>
-bool keys_match(const std::vector<Row>& rows, const Map& entries) {
+bool rows_match(const std::vector<Row>& rows, const Map& entries) {
   if (rows.size() != entries.size()) return false;
   std::size_t i = 0;
   for (const auto& [key, entry] : entries) {
@@ -131,112 +175,49 @@ bool keys_match(const std::vector<Row>& rows, const Map& entries) {
 
 }  // namespace
 
-Snapshot Registry::snapshot() const {
-  Snapshot snap;
-  snapshot_into(snap);
-  return snap;
+bool Registry::keys_match(const SnapshotValues& values, const Snapshot& rows) const {
+  if (values.layout_source != this) return false;
+  const std::scoped_lock lock(mutex_);
+  if (values.layout_version != layout_version_ || !rows_match(rows.counters, counters_) ||
+      !rows_match(rows.gauges, gauges_) || !rows_match(rows.histograms, histograms_)) {
+    return false;
+  }
+  for (std::size_t i = 0; i < plan_histograms_.size(); ++i) {
+    if (rows.histograms[i].bounds != plan_histograms_[i]->bounds()) return false;
+  }
+  return true;
 }
 
-void Registry::snapshot_into(Snapshot& out) const {
+Snapshot Registry::snapshot_of(const SnapshotValues& values) const {
+  Snapshot out;
+  if (values.layout_source != this) return out;
   const std::scoped_lock lock(mutex_);
-
-  // Tagged fast path: `out` was last captured from this registry at the
-  // current layout version, so its rows are proven to mirror the maps —
-  // refresh values straight through the flat plan pointers without
-  // walking the maps or comparing any key string.
-  if (out.layout_source == this && out.layout_version == layout_version_) {
-    if (plan_version_ != layout_version_) {
-      plan_counters_.clear();
-      plan_gauges_.clear();
-      plan_histograms_.clear();
-      for (const auto& [key, entry] : counters_) plan_counters_.push_back(entry.metric);
-      for (const auto& [key, entry] : gauges_) plan_gauges_.push_back(entry.metric);
-      for (const auto& [key, entry] : histograms_) {
-        plan_histograms_.push_back(entry.metric);
-      }
-      plan_version_ = layout_version_;
-    }
-    for (std::size_t i = 0; i < plan_counters_.size(); ++i) {
-      out.counters[i].value = plan_counters_[i]->value();
-    }
-    for (std::size_t i = 0; i < plan_gauges_.size(); ++i) {
-      out.gauges[i].value = plan_gauges_[i]->value();
-    }
-    for (std::size_t i = 0; i < plan_histograms_.size(); ++i) {
-      const Histogram* h = plan_histograms_[i];
-      Snapshot::HistogramRow& row = out.histograms[i];
-      for (std::size_t b = 0; b < row.bucket_counts.size(); ++b) {
-        row.bucket_counts[b] = h->bucket_count(b);
-      }
-      row.count = h->count();
-      row.sum = h->sum();
-    }
-    return;
+  const std::uint64_t version = values.layout_version;
+  for (const auto& [key, entry] : counters_) {
+    if (entry.since > version) continue;
+    out.counters.push_back(
+        {key.first, key.second, entry.help, values.counters.at(out.counters.size())});
   }
-
-  if (keys_match(out.counters, counters_)) {
-    std::size_t i = 0;
-    for (const auto& [key, entry] : counters_) out.counters[i++].value = entry.metric->value();
-  } else {
-    out.counters.clear();
-    out.counters.reserve(counters_.size());
-    for (const auto& [key, entry] : counters_) {
-      out.counters.push_back({key.first, key.second, entry.help, entry.metric->value()});
-    }
+  for (const auto& [key, entry] : gauges_) {
+    if (entry.since > version) continue;
+    out.gauges.push_back({key.first, key.second, entry.help, values.gauges.at(out.gauges.size())});
   }
-
-  if (keys_match(out.gauges, gauges_)) {
-    std::size_t i = 0;
-    for (const auto& [key, entry] : gauges_) out.gauges[i++].value = entry.metric->value();
-  } else {
-    out.gauges.clear();
-    out.gauges.reserve(gauges_.size());
-    for (const auto& [key, entry] : gauges_) {
-      out.gauges.push_back({key.first, key.second, entry.help, entry.metric->value()});
+  std::size_t slot = 0;
+  for (const auto& [key, entry] : histograms_) {
+    if (entry.since > version) continue;
+    Snapshot::HistogramRow row;
+    row.name = key.first;
+    row.labels = key.second;
+    row.help = entry.help;
+    row.bounds = entry.metric->bounds();
+    for (std::size_t b = 0; b <= row.bounds.size(); ++b) {
+      row.bucket_counts.push_back(values.histogram_counts.at(slot++));
     }
+    row.count = values.histogram_counts.at(slot++);
+    row.sum = values.histogram_sums.at(out.histograms.size());
+    out.histograms.push_back(std::move(row));
   }
-
-  bool hist_fast = keys_match(out.histograms, histograms_);
-  if (hist_fast) {
-    std::size_t i = 0;
-    for (const auto& [key, entry] : histograms_) {
-      if (out.histograms[i++].bounds != entry.metric->bounds()) {
-        hist_fast = false;
-        break;
-      }
-    }
-  }
-  if (hist_fast) {
-    std::size_t i = 0;
-    for (const auto& [key, entry] : histograms_) {
-      Snapshot::HistogramRow& row = out.histograms[i++];
-      for (std::size_t b = 0; b < row.bucket_counts.size(); ++b) {
-        row.bucket_counts[b] = entry.metric->bucket_count(b);
-      }
-      row.count = entry.metric->count();
-      row.sum = entry.metric->sum();
-    }
-  } else {
-    out.histograms.clear();
-    out.histograms.reserve(histograms_.size());
-    for (const auto& [key, entry] : histograms_) {
-      Snapshot::HistogramRow row;
-      row.name = key.first;
-      row.labels = key.second;
-      row.help = entry.help;
-      row.bounds = entry.metric->bounds();
-      row.bucket_counts.reserve(row.bounds.size() + 1);
-      for (std::size_t i = 0; i <= row.bounds.size(); ++i) {
-        row.bucket_counts.push_back(entry.metric->bucket_count(i));
-      }
-      row.count = entry.metric->count();
-      row.sum = entry.metric->sum();
-      out.histograms.push_back(std::move(row));
-    }
-  }
-
-  out.layout_source = this;
-  out.layout_version = layout_version_;
+  return out;
 }
 
 void Registry::reset_values() {

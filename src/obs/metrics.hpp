@@ -133,13 +133,22 @@ struct Snapshot {
   std::vector<CounterRow> counters;
   std::vector<GaugeRow> gauges;
   std::vector<HistogramRow> histograms;
+};
 
-  // Capture tag (runtime-only, never exported): which registry layout
-  // these rows mirror, and at which layout version.  Lets the next
-  // snapshot_into() skip key matching and the map walk outright.  The
-  // tag describes the row *content*, so copies, moves, and swaps keep
-  // it; mutating row keys or resizing the row vectors by hand
-  // invalidates it silently — treat captured snapshots as opaque.
+// A capture's values without its keys, in the registry's key order.
+// The fleet rollup captures every node's registry each epoch; keyed rows
+// would copy every name and help string per node (about 2.5 KB of fresh
+// heap per node on the first capture), while these are four vectors
+// whose capacity later captures reuse.  Registry::snapshot_of() turns
+// one back into rows.
+struct SnapshotValues {
+  std::vector<std::uint64_t> counters;
+  std::vector<double> gauges;
+  // Per histogram: its bucket counts (+Inf last), then its count.
+  std::vector<std::uint64_t> histogram_counts;
+  std::vector<double> histogram_sums;
+  // Which registry, at which layout version (see Registry): the keys
+  // these values belong to.
   const void* layout_source = nullptr;
   std::uint64_t layout_version = 0;
 };
@@ -160,13 +169,22 @@ class Registry {
 
   [[nodiscard]] Snapshot snapshot() const;
 
-  // snapshot() into a caller-owned buffer.  When `out` already mirrors
-  // the registry's key sequence (the steady state of an epoch-capture
-  // loop — registries gain series rarely after initialization), only the
-  // values are overwritten: no strings or vectors are reallocated.  The
+  // Every value, in key order, into a caller-owned buffer: no map walk
+  // and no strings, and no allocation once `out` has the capacity.  The
   // fleet telemetry layer leans on this to stay inside its overhead
   // budget (DESIGN.md §11).
-  void snapshot_into(Snapshot& out) const;
+  void values_into(SnapshotValues& out) const;
+
+  // True when `values` was captured from this registry at its current
+  // layout and `rows` has exactly that layout's keys (and histogram
+  // bounds) in key order, so `values` adds to `rows` position by
+  // position.
+  [[nodiscard]] bool keys_match(const SnapshotValues& values, const Snapshot& rows) const;
+
+  // The rows `values` was captured as: every series registered at or
+  // before its layout version, with its captured value.  Empty when
+  // `values` was not captured from this registry.
+  [[nodiscard]] Snapshot snapshot_of(const SnapshotValues& values) const;
 
   // Zeroes every registered value (handles held by instrumented code
   // stay valid).  Lets a bench isolate phases on the shared registry.
@@ -177,6 +195,9 @@ class Registry {
   struct Entry {
     std::string help;
     T* metric = nullptr;  // points into the matching arena below
+    // layout_version_ right after this series registered: the series
+    // belongs to every capture stamped with this version or a later one.
+    std::uint64_t since = 0;
   };
   using Key = std::pair<std::string, std::string>;  // (name, labels)
 
@@ -194,19 +215,21 @@ class Registry {
   std::deque<Gauge> gauge_arena_;
   std::deque<Histogram> histogram_arena_;
 
-  // Bumped on every new registration; snapshots are stamped with it so
-  // a re-capture into the same buffer can prove the layout unchanged.
+  // Bumped on every new registration; value captures are stamped with
+  // it.  Registries never remove a series, so the keys of a capture
+  // stamped v are the series whose `since` is at most v.
   std::uint64_t layout_version_ = 1;
-  // Flat iteration-order metric pointers, rebuilt lazily when the
-  // layout changes.  A fleet epoch captures 100k registries back to
-  // back — every one a cold-cache visit — and walking three node-based
-  // maps plus comparing heap-allocated key strings per registry is what
-  // used to dominate telemetry capture time.  The tagged fast path
-  // touches only these contiguous arrays and the metric atomics.
-  mutable std::uint64_t plan_version_ = 0;
-  mutable std::vector<const Counter*> plan_counters_;
-  mutable std::vector<const Gauge*> plan_gauges_;
-  mutable std::vector<const Histogram*> plan_histograms_;
+  // Flat key-order metric pointers, rebuilt at each new registration
+  // while the maps are in cache.  A fleet epoch captures 100k registries
+  // back to back — every one a cold-cache visit — and walking three
+  // node-based maps per registry is what used to dominate telemetry
+  // capture time.  values_into() touches only these contiguous arrays
+  // and the metric atomics.
+  void build_plan();  // mutex_ held
+  std::vector<const Counter*> plan_counters_;
+  std::vector<const Gauge*> plan_gauges_;
+  std::vector<const Histogram*> plan_histograms_;
+  std::size_t plan_histogram_slots_ = 0;  // bucket counts + count, summed
 };
 
 // The process-wide registry instrumented components default to.

@@ -1,7 +1,5 @@
 #include "tsdb/export.hpp"
 
-#include <sstream>
-
 #include "common/csv.hpp"
 #include "common/strings.hpp"
 #include "obs/metrics.hpp"
@@ -21,18 +19,21 @@ void count_rows(const char* name, const char* help, std::size_t n) {
 }  // namespace
 
 std::string export_csv(const EnvDatabase& db, const QueryFilter& filter) {
-  std::ostringstream os;
-  CsvWriter csv(os);
-  csv.row("timestamp_s", "location", "metric", "value");
-  std::size_t rows = 0;
-  for (const auto& record : db.query(filter)) {
-    csv.row(format_double(record.timestamp.to_seconds(), 6), record.location.to_string(),
-            record.metric, format_double(record.value, 6));
-    ++rows;
+  std::string out = "timestamp_s,location,metric,value\n";
+  const std::vector<Record> records = db.query(filter);
+  for (const auto& record : records) {
+    append_fixed(out, record.timestamp.to_seconds(), 6);
+    out += ',';
+    append_csv_field(out, record.location.to_string());
+    out += ',';
+    append_csv_field(out, record.metric);
+    out += ',';
+    append_fixed(out, record.value, 6);
+    out += '\n';
   }
   count_rows("envmon_tsdb_export_rows_total",
-             "Records rendered by environmental database CSV exports", rows);
-  return os.str();
+             "Records rendered by environmental database CSV exports", records.size());
+  return out;
 }
 
 Result<std::size_t> import_csv(std::string_view text, EnvDatabase& db) {

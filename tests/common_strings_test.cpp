@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
+#include <string>
+
 namespace envmon {
 namespace {
 
@@ -50,6 +53,16 @@ TEST(FormatDouble, Precision) {
   EXPECT_EQ(format_double(3.14159, 2), "3.14");
   EXPECT_EQ(format_double(1.0, 4), "1.0000");
   EXPECT_EQ(format_double(-0.5, 1), "-0.5");
+}
+
+TEST(FormatDouble, WideValuesAreNotTruncated) {
+  // 58 integer digits, the point and 6 decimals: past any small buffer.
+  const std::string wide = format_double(1e57, 6);
+  EXPECT_EQ(wide.size(), 65u);
+  double back = 0.0;
+  ASSERT_TRUE(parse_double(wide, back));
+  EXPECT_EQ(back, 1e57);
+  EXPECT_EQ(format_double(-std::numeric_limits<double>::max(), 6).size(), 1u + 309 + 1 + 6);
 }
 
 TEST(ParseDouble, ValidInputs) {

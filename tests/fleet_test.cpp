@@ -17,6 +17,7 @@
 #include "fleet/api.hpp"
 #include "moneq/factory.hpp"
 #include "moneq/output.hpp"
+#include "obs/metrics.hpp"
 #include "tsdb/export.hpp"
 
 namespace envmon {
@@ -231,6 +232,20 @@ TEST(Fleet, ReportCarriesSchedulerAndMemoryAccounting) {
     EXPECT_GE(out.report.peak_rss_bytes, out.report.rss_bytes);
     EXPECT_GT(out.report.bytes_per_node, 0.0);
   }
+}
+
+TEST(Fleet, EpochTimerObservesOnlyMergeToMergeIntervals) {
+  // The epoch histogram is process-global; read this run's share as a
+  // delta.  The first merge starts the clock, so E epochs give E - 1
+  // samples and none of them covers building the nodes.
+  ASSERT_TRUE(obs::enabled());
+  const obs::Histogram& epoch_seconds = obs::default_registry().histogram(
+      "envmon_fleet_epoch_seconds", "Wall time between fleet epoch merges",
+      obs::Histogram::exponential_bounds(1e-5, 4.0, 12));
+  const std::uint64_t before = epoch_seconds.count();
+  const RunOutput out = run_fleet(small_fleet());
+  ASSERT_EQ(out.report.epochs, 8u);
+  EXPECT_EQ(epoch_seconds.count() - before, 7u);
 }
 
 // A durable fleet store: open() between configure() and run(), over a

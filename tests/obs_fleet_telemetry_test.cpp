@@ -344,6 +344,101 @@ TelemetryRun run_storm_fleet(int threads) {
   return out;
 }
 
+TEST(FleetTelemetry, FoldOfValueCapturesEqualsMergeOfSnapshots) {
+  // Two boards (32 + 8 nodes) of mostly identical registries, plus the
+  // cases the position-by-position fold must hand to the keyed merge: an
+  // extra series (rank 5), mismatched histogram bounds (rank 7), and a
+  // series registered between capture and fold (rank 34).  That last
+  // registry's keys then equal its board's (rank 33 has the series from
+  // the start), but the capture's do not: it predates the series.
+  obs::FleetTelemetry telemetry(40);
+  for (int rank = 0; rank < 40; ++rank) {
+    obs::Registry& r = telemetry.node_registry(rank);
+    r.counter("polls_total", "h").inc(static_cast<std::uint64_t>(rank));
+    r.gauge("fill", "h").set(0.5 * rank);
+    r.histogram("lat_ms", "h", rank == 7 ? std::vector<double>{8.0} : std::vector<double>{1.0, 2.0})
+        .observe(rank % 3);
+    if (rank == 5) r.counter("drops_total", "h").inc(3);
+    if (rank == 33) r.counter("late_total", "h").inc(5);
+  }
+  std::vector<obs::SnapshotValues> values(40);
+  std::vector<const obs::SnapshotValues*> ptrs(40);
+  for (int epoch = 0; epoch < 2; ++epoch) {
+    for (int rank = 0; rank < 40; ++rank) {
+      telemetry.capture_into(rank, values[static_cast<std::size_t>(rank)]);
+      ptrs[static_cast<std::size_t>(rank)] = &values[static_cast<std::size_t>(rank)];
+    }
+    // Not part of this epoch's capture: a new series, a later count.
+    telemetry.node_registry(34).counter("late_total", "h").inc(1);
+    telemetry.node_registry(0).counter("polls_total", "h").inc(100);
+    telemetry.fold(ptrs);
+
+    obs::Snapshot boards[2];
+    std::size_t skipped = 0;
+    for (int rank = 0; rank < 40; ++rank) {
+      skipped += obs::merge_snapshot(
+          boards[rank / 32],
+          telemetry.node_registry(rank).snapshot_of(values[static_cast<std::size_t>(rank)]));
+    }
+    EXPECT_EQ(obs::export_json(telemetry.board_rollup(0)), obs::export_json(boards[0]));
+    EXPECT_EQ(obs::export_json(telemetry.board_rollup(1)), obs::export_json(boards[1]));
+    obs::Snapshot fleet = boards[0];
+    skipped += obs::merge_snapshot(fleet, boards[1]);
+    EXPECT_EQ(obs::export_json(telemetry.fleet_rollup()), obs::export_json(fleet));
+    EXPECT_EQ(telemetry.merge_skipped(), skipped * static_cast<std::size_t>(epoch + 1));
+  }
+  // The late series joined rank 34's second capture, with its count then.
+  const obs::Snapshot late = telemetry.node_registry(34).snapshot_of(values[34]);
+  ASSERT_EQ(late.counters.size(), 2u);
+  EXPECT_EQ(late.counters[0].name, "late_total");
+  EXPECT_EQ(late.counters[0].value, 1u);
+}
+
+TEST(FleetTelemetry, FoldComparesKeysOnlyWhenALayoutChanges) {
+  // Board 0: identical registries except rank 7's histogram bounds, which
+  // never match the board's.  Board 1: empty registries, an empty board.
+  obs::FleetTelemetry telemetry(64);
+  for (int rank = 0; rank < 32; ++rank) {
+    obs::Registry& r = telemetry.node_registry(rank);
+    r.counter("polls_total", "h").inc(static_cast<std::uint64_t>(rank));
+    r.histogram("lat_ms", "h", rank == 7 ? std::vector<double>{8.0} : std::vector<double>{1.0, 2.0})
+        .observe(rank % 3);
+  }
+  std::vector<obs::SnapshotValues> values(64);
+  std::vector<const obs::SnapshotValues*> ptrs(64);
+  const auto fold_checks = [&] {
+    for (int rank = 0; rank < 64; ++rank) {
+      telemetry.capture_into(rank, values[static_cast<std::size_t>(rank)]);
+      ptrs[static_cast<std::size_t>(rank)] = &values[static_cast<std::size_t>(rank)];
+    }
+    const std::uint64_t before = telemetry.key_checks();
+    telemetry.fold(ptrs);
+    return telemetry.key_checks() - before;
+  };
+  // Every node once; then rank 0, which met an empty board, and rank 7;
+  // then rank 7 alone, whose skipped merge leaves the board's keys as
+  // they were.
+  EXPECT_EQ(fold_checks(), 64u);
+  EXPECT_EQ(fold_checks(), 2u);
+  EXPECT_EQ(fold_checks(), 1u);
+  EXPECT_EQ(fold_checks(), 1u);
+  // A new series on rank 40 changes board 1's keys: rank 40 and every
+  // node after it on the board are compared at once, the whole board the
+  // fold after; then the 31 nodes without the series, which can never
+  // match the board again, stay on the keyed merge.
+  telemetry.node_registry(40).gauge("fill", "h").set(1.0);
+  EXPECT_EQ(fold_checks(), 1u + 24u);
+  EXPECT_EQ(fold_checks(), 1u + 32u);
+  EXPECT_EQ(fold_checks(), 1u + 31u);
+
+  obs::Snapshot board;
+  for (int rank = 0; rank < 32; ++rank) {
+    obs::merge_snapshot(
+        board, telemetry.node_registry(rank).snapshot_of(values[static_cast<std::size_t>(rank)]));
+  }
+  EXPECT_EQ(obs::export_json(telemetry.board_rollup(0)), obs::export_json(board));
+}
+
 TEST(FleetTelemetry, RollupAndPostMortemAreByteIdenticalAcrossThreadCounts) {
   const TelemetryRun one = run_storm_fleet(1);
 
