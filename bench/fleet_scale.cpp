@@ -43,6 +43,12 @@
 #include "obs/metrics.hpp"
 #include "tsdb/export.hpp"
 
+// malloc_trim is glibc-only; elsewhere the trim is skipped (it only
+// bounds peak memory).  <cstdint> above has defined __GLIBC__ by now.
+#if defined(__GLIBC__)
+#include <malloc.h>
+#endif
+
 namespace {
 
 namespace fleet = envmon::fleet;
@@ -203,6 +209,11 @@ int main(int argc, char** argv) {
   RunResult results[3];
   for (int i = 0; i < 3; ++i) {
     results[i] = run(shape, thread_counts[i]);
+    // The runner is gone: hand its freed heap back to the kernel, so the
+    // next configuration's peak does not stack on the retained arena.
+#if defined(__GLIBC__)
+    malloc_trim(0);
+#endif
     if (results[i].records_applied == 0) return 1;
     std::printf(
         "%d thread%s: %.3f s wall, %.0f node-s/s, %zu records, %llu steals, files %016llx db "
@@ -279,9 +290,13 @@ int main(int argc, char** argv) {
   std::printf("determinism gate      : %s (files, db, fleet rollup)\n",
               deterministic ? "PASS" : "FAIL");
   if (memory_measured) {
-    std::printf("memory gate           : %s (%.0f bytes/node, budget %.0f; peak RSS %.0f MB)\n",
-                memory_ok ? "PASS" : "FAIL", bytes_per_node, kBytesPerNodeBudget,
-                static_cast<double>(results[0].peak_rss_bytes) / (1024.0 * 1024.0));
+    // The last configuration's peak is the whole process's.
+    std::printf(
+        "memory gate           : %s (%.0f bytes/node, budget %.0f; peak RSS %.0f MB 1t, "
+        "%.0f MB process)\n",
+        memory_ok ? "PASS" : "FAIL", bytes_per_node, kBytesPerNodeBudget,
+        static_cast<double>(results[0].peak_rss_bytes) / (1024.0 * 1024.0),
+        static_cast<double>(results[2].peak_rss_bytes) / (1024.0 * 1024.0));
   } else {
     std::printf("memory gate           : SKIPPED (no /proc/self/status)\n");
   }

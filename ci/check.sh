@@ -27,7 +27,10 @@
 #      node-file number formatting against printf("%.*f")
 #      (PropFixed.AppendFixedMatchesPrintf) in every pass
 #      that runs it;
-#   8. ASan+UBSan build of the obs + fleet + persist + daemon + prop +
+#   8. Release build (-O3), compile only, no ctest: diagnostics that
+#      only the optimizer emits (GCC's -Werror=restrict, for one) fail
+#      here instead of on the first optimized build;
+#   9. ASan+UBSan build of the obs + fleet + persist + daemon + prop +
 #      tsdb + resilience labels (the suites that exercise the telemetry
 #      rollup, flight recorders, the ingest path, the durable storage
 #      layer, the wire protocol, the randomized codec/fold/engine
@@ -36,7 +39,7 @@
 #      properties are the UBSan workload for the bit-level kernels, and
 #      PropFixed.* the ASan workload for the fixed stack buffers the
 #      node-file and export renderers format numbers into);
-#   9. TSan build of the same labels — the fleet suite's 8-worker
+#  10. TSan build of the same labels — the fleet suite's 8-worker
 #      byte-equality tests, the daemon suite's multi-client
 #      server/client runs, and the tsdb suite's 4-thread query tests
 #      (EnvDatabaseBlocks.ParallelQueryMatchesSerialAcrossThreadCounts
@@ -45,7 +48,8 @@
 #      data-race workload.
 #
 # Usage: ci/check.sh [--tier1-only]
-# Build trees land in build/ (tier 1), build-asan/, and build-tsan/.
+# Build trees land in build/ (tier 1), build-release/, build-asan/, and
+# build-tsan/.
 
 set -euo pipefail
 cd "$(dirname "$0")/.."
@@ -107,6 +111,8 @@ if [[ "${1:-}" == "--tier1-only" ]]; then
   echo "OK (tier 1 only)"
   exit 0
 fi
+
+run_suite build-release "Release (compile only)" -DCMAKE_BUILD_TYPE=Release
 
 run_suite build-asan "ASan+UBSan" -DENVMON_SANITIZE=address
 echo "== ASan+UBSan: ctest -L '${SANITIZED_LABELS}' =="

@@ -13,7 +13,6 @@ class RunningStats {
  public:
   void add(double x);
   void merge(const RunningStats& other);  // Chan et al. parallel merge
-  void reset();
 
   [[nodiscard]] std::size_t count() const { return n_; }
   [[nodiscard]] bool empty() const { return n_ == 0; }

@@ -264,7 +264,8 @@ Status FleetRunner::run() {
     }
     dep.snaps.resize(static_cast<std::size_t>(end - begin));
     for (int rank = begin; rank < end; ++rank) {
-      telemetry_->capture_into(rank, dep.snaps[static_cast<std::size_t>(rank - begin)]);
+      telemetry_->node_registry(rank).values_into(
+          dep.snaps[static_cast<std::size_t>(rank - begin)]);
     }
     shard_capture_seconds[static_cast<std::size_t>(shard)] += seconds_since(capture_began);
     dep.beats.resize(static_cast<std::size_t>(end - begin));
@@ -307,8 +308,8 @@ Status FleetRunner::run() {
         heartbeats[begin + i] = dep.beats[i];
       }
     }
-    // Fold the deposited node snapshots up the tree and append the fleet
-    // rollup as one more "node" — index `nodes` places its rows after
+    // Fold the deposited node snapshots into the fleet rollup and append
+    // it as one more "node" — index `nodes` places its rows after
     // every real rank in the stable sort's tie order.
     const auto fold_began = std::chrono::steady_clock::now();
     telemetry_->fold(snapshot_ptrs);
@@ -365,7 +366,7 @@ Status FleetRunner::run() {
   const Status scheduled = scheduler.run();
 
   // Sample the footprint while everything the run allocated is still
-  // live: nodes, telemetry tree, staged deposits, and the database.
+  // live: nodes, telemetry, staged deposits, and the database.
   report_.rss_bytes = common::current_rss_bytes();
   report_.peak_rss_bytes = common::peak_rss_bytes();
 
@@ -373,17 +374,6 @@ Status FleetRunner::run() {
   ingest_thread.join();
   if (!scheduled.is_ok()) return scheduled;
   if (!ingest.status().is_ok()) return ingest.status();
-
-  // Adopt the final epoch's deposited captures as the telemetry tree's
-  // per-node slots: node_capture() then reads exactly what the last fold
-  // read, at zero copy cost.
-  for (int s = 0; s < shards; ++s) {
-    ShardDeposit& dep = deposits[static_cast<std::size_t>(s)][epoch_count % ring];
-    const int begin = shard_bounds_[static_cast<std::size_t>(s)];
-    for (std::size_t i = 0; i < dep.snaps.size(); ++i) {
-      telemetry_->store_capture(begin + static_cast<int>(i), std::move(dep.snaps[i]));
-    }
-  }
 
   // Deterministic output: files land in rank order regardless of which
   // shard rendered them first.  Each file is released right after its

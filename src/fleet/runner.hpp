@@ -29,7 +29,7 @@
 //     written to the output target in rank order on the caller's thread.
 //   * Observability is always on (DESIGN.md §11): every node gets its own
 //     registry partition and flight recorder, the merge folds them into
-//     board/rack/fleet rollups, inserts the fleet rollup into the store
+//     one fleet rollup in rank order, inserts it into the store
 //     under envmon.self.*, and feeds the heartbeat failure detector.
 //
 // Shared mutable state during run() is limited to: obs metrics
@@ -141,7 +141,8 @@ struct FleetReport {
   double bytes_per_node = 0.0;
 
   // Observability self-overhead: wall time spent capturing node
-  // snapshots, folding the rollup tree, and rendering self-scrape rows.
+  // snapshots, folding them into the fleet rollup, and rendering
+  // self-scrape rows.
   // bench/overhead_observability gates telemetry_seconds / wall_seconds.
   double telemetry_seconds = 0.0;
   std::size_t self_scrape_rows = 0;

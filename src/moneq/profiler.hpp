@@ -52,7 +52,7 @@ struct ProfilerOptions {
   double bytes_per_sample = 34.0;
   // Registry receiving the profiler's self-observability series; nullptr
   // means the process-global default registry.  Fleet nodes pass their
-  // own partition so hierarchical rollups stay deterministic.
+  // own partition so the fleet rollup stays deterministic.
   obs::Registry* registry = nullptr;
   // When set, backend health transitions land on the flight recorder as
   // deterministic "health"/"backend.health" events tagged recorder_node.

@@ -13,32 +13,12 @@ bool row_less(const Row& a, const Row& b) {
   return a.labels < b.labels;
 }
 
-template <typename Row>
-bool same_keys(const std::vector<Row>& a, const std::vector<Row>& b) {
-  if (a.size() != b.size()) return false;
-  for (std::size_t i = 0; i < a.size(); ++i) {
-    if (a[i].name != b[i].name || a[i].labels != b[i].labels) return false;
-  }
-  return true;
-}
-
 // Sorted two-way merge of `from` into `into`; `accumulate(into_row,
 // from_row)` folds matching keys and returns false to skip (mismatched
 // histogram layouts).
 template <typename Row, typename Accumulate>
 std::size_t merge_rows(std::vector<Row>& into, const std::vector<Row>& from,
                        Accumulate accumulate) {
-  // Fast path: identical key sequences — the steady state of a
-  // homogeneous fleet, where every node registers the same series —
-  // accumulate in place with no allocation and no row copies.  This is
-  // what keeps 1024-node epoch folds inside the <= 1% overhead budget.
-  if (same_keys(into, from)) {
-    std::size_t in_place_skipped = 0;
-    for (std::size_t i = 0; i < into.size(); ++i) {
-      if (!accumulate(into[i], from[i])) ++in_place_skipped;
-    }
-    return in_place_skipped;
-  }
   std::size_t skipped = 0;
   std::vector<Row> merged;
   merged.reserve(into.size() + from.size());
@@ -62,8 +42,8 @@ std::size_t merge_rows(std::vector<Row>& into, const std::vector<Row>& from,
 }
 
 // Zeroes every value while keeping the row structure (names, labels,
-// bounds) intact, so re-folding into a persistent rollup snapshot hits
-// the in-place merge path instead of rebuilding strings each epoch.
+// bounds) intact, so re-folding into the persistent rollup adds
+// position by position instead of rebuilding strings each epoch.
 void zero_values(Snapshot& snapshot) {
   for (auto& c : snapshot.counters) c.value = 0;
   for (auto& g : snapshot.gauges) g.value = 0.0;
@@ -111,53 +91,40 @@ FleetTelemetry::FleetTelemetry(int nodes) {
   for (std::size_t i = 0; i < node_count; ++i) {
     node_registries_.push_back(std::make_unique<Registry>());
   }
-  node_values_.resize(node_count);
   matched_.resize(node_count);
-  const std::size_t board_count = (node_count + kNodesPerBoard - 1) / kNodesPerBoard;
-  boards_.resize(board_count);
-  board_shapes_.resize(board_count, 0);
-  racks_.resize((board_count + kBoardsPerRack - 1) / kBoardsPerRack);
   if (enabled()) {
     auto& registry = default_registry();
     folds_metric_ = &registry.counter("envmon_fleet_rollup_folds_total",
-                                      "Hierarchical telemetry rollups performed");
+                                      "Fleet telemetry rollups performed");
     series_metric_ = &registry.gauge("envmon_fleet_rollup_series",
                                      "Series in the latest fleet-wide rollup");
   }
 }
 
-void FleetTelemetry::capture_into(int rank, SnapshotValues& out) const {
-  node_registries_[static_cast<std::size_t>(rank)]->values_into(out);
-}
-
-void FleetTelemetry::fold_node(std::size_t board, std::size_t rank,
-                               const SnapshotValues& values) {
-  Snapshot& rows = boards_[board];
+void FleetTelemetry::fold_node(std::size_t rank, const SnapshotValues& values) {
   const Registry& registry = *node_registries_[rank];
   Matched& matched = matched_[rank];
   const bool known = matched.source == values.layout_source &&
-                     matched.version == values.layout_version &&
-                     matched.board_shape == board_shapes_[board];
+                     matched.version == values.layout_version && matched.shape == shape_;
   if (!known) ++key_checks_;
-  if (!known && !registry.keys_match(values, rows)) {
+  if (!known && !registry.keys_match(values, fleet_)) {
     // A different or stale layout: merge by key, as for any two
-    // snapshots.  A keyed merge only ever adds rows, so the board's
+    // snapshots.  A keyed merge only ever adds rows, so the rollup's
     // keys changed exactly when its row count did.
-    const std::size_t before = row_count(rows);
-    merge_skipped_ += merge_snapshot(rows, registry.snapshot_of(values));
-    if (row_count(rows) != before) ++board_shapes_[board];
+    const std::size_t before = row_count(fleet_);
+    merge_skipped_ += merge_snapshot(fleet_, registry.snapshot_of(values));
+    if (row_count(fleet_) != before) ++shape_;
     return;
   }
-  matched = {values.layout_source, values.layout_version, board_shapes_[board]};
-  // The same accumulation, in the same order, as merge_snapshot()'s
-  // path for identical keys.
-  for (std::size_t i = 0; i < rows.counters.size(); ++i) {
-    rows.counters[i].value += values.counters[i];
+  matched = {values.layout_source, values.layout_version, shape_};
+  // The same accumulation per row as merge_snapshot()'s.
+  for (std::size_t i = 0; i < fleet_.counters.size(); ++i) {
+    fleet_.counters[i].value += values.counters[i];
   }
-  for (std::size_t i = 0; i < rows.gauges.size(); ++i) rows.gauges[i].value += values.gauges[i];
+  for (std::size_t i = 0; i < fleet_.gauges.size(); ++i) fleet_.gauges[i].value += values.gauges[i];
   std::size_t slot = 0;
-  for (std::size_t i = 0; i < rows.histograms.size(); ++i) {
-    Snapshot::HistogramRow& h = rows.histograms[i];
+  for (std::size_t i = 0; i < fleet_.histograms.size(); ++i) {
+    Snapshot::HistogramRow& h = fleet_.histograms[i];
     for (auto& count : h.bucket_counts) count += values.histogram_counts[slot++];
     h.count += values.histogram_counts[slot++];
     h.sum += values.histogram_sums[i];
@@ -165,29 +132,13 @@ void FleetTelemetry::fold_node(std::size_t board, std::size_t rank,
 }
 
 void FleetTelemetry::fold(std::span<const SnapshotValues* const> nodes) {
-  // Rollup snapshots persist across folds: zero the values, keep the
-  // structure, and let the in-place path do the accumulation.
+  // The rollup persists across folds: zero the values, keep the
+  // structure, and let the positional path do the accumulation.
   // (Registries never remove series, so stale rows cannot linger.)
-  for (std::size_t b = 0; b < boards_.size(); ++b) {
-    zero_values(boards_[b]);
-    const std::size_t begin = b * kNodesPerBoard;
-    const std::size_t end = std::min(begin + kNodesPerBoard, nodes.size());
-    for (std::size_t n = begin; n < end; ++n) {
-      if (nodes[n] != nullptr) fold_node(b, n, *nodes[n]);
-    }
-  }
-  for (std::size_t r = 0; r < racks_.size(); ++r) {
-    Snapshot& rack = racks_[r];
-    zero_values(rack);
-    const std::size_t begin = r * kBoardsPerRack;
-    const std::size_t end = std::min(begin + kBoardsPerRack, boards_.size());
-    for (std::size_t b = begin; b < end; ++b) {
-      merge_skipped_ += merge_snapshot(rack, boards_[b]);
-    }
-  }
   zero_values(fleet_);
-  for (const Snapshot& rack : racks_) {
-    merge_skipped_ += merge_snapshot(fleet_, rack);
+  const std::size_t end = std::min(nodes.size(), node_registries_.size());
+  for (std::size_t n = 0; n < end; ++n) {
+    if (nodes[n] != nullptr) fold_node(n, *nodes[n]);
   }
   ++folds_;
   if (folds_metric_ != nullptr) folds_metric_->inc();

@@ -83,19 +83,6 @@ std::uint32_t crc32c(std::span<const std::uint8_t> bytes, std::uint32_t seed) {
   return (hw ? crc32c_hw_impl(bytes, c) : crc32c_table_impl(bytes, c)) ^ 0xFFFFFFFFu;
 }
 
-std::string ContentHash::to_hex() const {
-  static constexpr char kDigits[] = "0123456789abcdef";
-  std::string out(32, '0');
-  for (int i = 0; i < 16; ++i) {
-    const std::uint64_t word = i < 8 ? hi : lo;
-    const unsigned shift = 8u * (7u - static_cast<unsigned>(i % 8));
-    const auto byte = static_cast<std::uint8_t>(word >> shift);
-    out[2 * static_cast<std::size_t>(i)] = kDigits[byte >> 4];
-    out[2 * static_cast<std::size_t>(i) + 1] = kDigits[byte & 0xF];
-  }
-  return out;
-}
-
 ContentHash content_hash(std::span<const std::uint8_t> bytes) {
   // Two independently seeded 64-bit lanes over the same chunks.  Each
   // 8-byte (little-endian) chunk is absorbed with a multiply + splitmix

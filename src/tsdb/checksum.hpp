@@ -18,7 +18,6 @@
 #include <cstddef>
 #include <cstdint>
 #include <span>
-#include <string>
 
 namespace envmon::tsdb {
 
@@ -31,7 +30,6 @@ struct ContentHash {
   std::uint64_t hi = 0;
   std::uint64_t lo = 0;
   friend auto operator<=>(const ContentHash&, const ContentHash&) = default;
-  [[nodiscard]] std::string to_hex() const;
 };
 
 [[nodiscard]] ContentHash content_hash(std::span<const std::uint8_t> bytes);

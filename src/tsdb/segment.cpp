@@ -505,12 +505,4 @@ std::uint64_t BlockStore::disk_bytes() const {
   return bytes;
 }
 
-std::uint64_t BlockStore::live_extent_bytes() const {
-  std::uint64_t bytes = 0;
-  for (const auto& [hash, extent] : index_) {
-    if (extent.refs > 0) bytes += extent.ref.length;
-  }
-  return bytes;
-}
-
 }  // namespace envmon::tsdb

@@ -196,7 +196,6 @@ class BlockStore {
   [[nodiscard]] std::size_t segment_count() const { return segments_.size(); }
   [[nodiscard]] std::size_t extent_count() const { return index_.size(); }
   [[nodiscard]] std::uint64_t disk_bytes() const;
-  [[nodiscard]] std::uint64_t live_extent_bytes() const;
 
  private:
   struct Extent {

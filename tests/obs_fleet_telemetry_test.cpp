@@ -6,8 +6,9 @@
 //   * Histogram::quantile interpolates like histogram_quantile(), so the
 //     benches can read p99 straight off their latency histograms.
 //   * merge_snapshot / FleetTelemetry fold per-node registry partitions
-//     up the BG/Q packaging tree deterministically: the fleet rollup's
-//     JSON rendering is byte-identical at 1, 2, and 8 worker threads.
+//     into one fleet rollup in rank order: the rollup is bit-identical
+//     to a rank-order merge of the node snapshots, and its JSON
+//     rendering is byte-identical at 1, 2, and 8 worker threads.
 //   * FlightRecorder is a bounded ring (per event class), its post-mortem
 //     dump is golden-testable, the injector and profiler hooks record
 //     fault and health events with their node and virtual time, and a
@@ -18,6 +19,8 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cstdint>
 #include <string>
 #include <vector>
 
@@ -118,7 +121,7 @@ TEST(HistogramQuantile, EmptyHistogramReturnsZero) {
 }
 
 // ---------------------------------------------------------------------------
-// merge_snapshot — the rollup tree's one primitive.
+// merge_snapshot — the fleet rollup's keyed merge.
 
 TEST(MergeSnapshot, SumsSharedSeriesAndUnionsDisjointOnes) {
   obs::Registry a;
@@ -344,13 +347,38 @@ TelemetryRun run_storm_fleet(int threads) {
   return out;
 }
 
+// Captures every node's registry into `values` and points `ptrs` at them.
+void capture_all(obs::FleetTelemetry& telemetry, std::vector<obs::SnapshotValues>& values,
+                 std::vector<const obs::SnapshotValues*>& ptrs) {
+  values.resize(static_cast<std::size_t>(telemetry.node_count()));
+  ptrs.resize(values.size());
+  for (std::size_t rank = 0; rank < values.size(); ++rank) {
+    telemetry.node_registry(static_cast<int>(rank)).values_into(values[rank]);
+    ptrs[rank] = &values[rank];
+  }
+}
+
+// The oracle: the node captures' rows merged by key, in rank order.
+obs::Snapshot rank_order_merge(const obs::FleetTelemetry& telemetry,
+                               const std::vector<obs::SnapshotValues>& values,
+                               std::size_t* skipped = nullptr) {
+  obs::Snapshot fleet;
+  for (std::size_t rank = 0; rank < values.size(); ++rank) {
+    const std::size_t s = obs::merge_snapshot(
+        fleet, telemetry.node_registry(static_cast<int>(rank)).snapshot_of(values[rank]));
+    if (skipped != nullptr) *skipped += s;
+  }
+  return fleet;
+}
+
 TEST(FleetTelemetry, FoldOfValueCapturesEqualsMergeOfSnapshots) {
-  // Two boards (32 + 8 nodes) of mostly identical registries, plus the
-  // cases the position-by-position fold must hand to the keyed merge: an
-  // extra series (rank 5), mismatched histogram bounds (rank 7), and a
+  // 40 mostly identical registries, plus the cases the
+  // position-by-position fold must hand to the keyed merge: an extra
+  // series (ranks 5 and 34), mismatched histogram bounds (rank 7), and a
   // series registered between capture and fold (rank 34).  That last
-  // registry's keys then equal its board's (rank 33 has the series from
-  // the start), but the capture's do not: it predates the series.
+  // registry's keys then equal the rollup's (rank 33 has the series from
+  // the start, rank 5 the extra one), but the capture's do not: it
+  // predates the series.
   obs::FleetTelemetry telemetry(40);
   for (int rank = 0; rank < 40; ++rank) {
     obs::Registry& r = telemetry.node_registry(rank);
@@ -358,85 +386,129 @@ TEST(FleetTelemetry, FoldOfValueCapturesEqualsMergeOfSnapshots) {
     r.gauge("fill", "h").set(0.5 * rank);
     r.histogram("lat_ms", "h", rank == 7 ? std::vector<double>{8.0} : std::vector<double>{1.0, 2.0})
         .observe(rank % 3);
-    if (rank == 5) r.counter("drops_total", "h").inc(3);
+    if (rank == 5 || rank == 34) r.counter("drops_total", "h").inc(3);
     if (rank == 33) r.counter("late_total", "h").inc(5);
   }
-  std::vector<obs::SnapshotValues> values(40);
-  std::vector<const obs::SnapshotValues*> ptrs(40);
+  std::vector<obs::SnapshotValues> values;
+  std::vector<const obs::SnapshotValues*> ptrs;
   for (int epoch = 0; epoch < 2; ++epoch) {
-    for (int rank = 0; rank < 40; ++rank) {
-      telemetry.capture_into(rank, values[static_cast<std::size_t>(rank)]);
-      ptrs[static_cast<std::size_t>(rank)] = &values[static_cast<std::size_t>(rank)];
-    }
+    capture_all(telemetry, values, ptrs);
     // Not part of this epoch's capture: a new series, a later count.
     telemetry.node_registry(34).counter("late_total", "h").inc(1);
     telemetry.node_registry(0).counter("polls_total", "h").inc(100);
     telemetry.fold(ptrs);
 
-    obs::Snapshot boards[2];
     std::size_t skipped = 0;
-    for (int rank = 0; rank < 40; ++rank) {
-      skipped += obs::merge_snapshot(
-          boards[rank / 32],
-          telemetry.node_registry(rank).snapshot_of(values[static_cast<std::size_t>(rank)]));
-    }
-    EXPECT_EQ(obs::export_json(telemetry.board_rollup(0)), obs::export_json(boards[0]));
-    EXPECT_EQ(obs::export_json(telemetry.board_rollup(1)), obs::export_json(boards[1]));
-    obs::Snapshot fleet = boards[0];
-    skipped += obs::merge_snapshot(fleet, boards[1]);
+    const obs::Snapshot fleet = rank_order_merge(telemetry, values, &skipped);
     EXPECT_EQ(obs::export_json(telemetry.fleet_rollup()), obs::export_json(fleet));
     EXPECT_EQ(telemetry.merge_skipped(), skipped * static_cast<std::size_t>(epoch + 1));
   }
   // The late series joined rank 34's second capture, with its count then.
   const obs::Snapshot late = telemetry.node_registry(34).snapshot_of(values[34]);
-  ASSERT_EQ(late.counters.size(), 2u);
-  EXPECT_EQ(late.counters[0].name, "late_total");
-  EXPECT_EQ(late.counters[0].value, 1u);
+  ASSERT_EQ(late.counters.size(), 3u);
+  EXPECT_EQ(late.counters[1].name, "late_total");
+  EXPECT_EQ(late.counters[1].value, 1u);
 }
 
 TEST(FleetTelemetry, FoldComparesKeysOnlyWhenALayoutChanges) {
-  // Board 0: identical registries except rank 7's histogram bounds, which
-  // never match the board's.  Board 1: empty registries, an empty board.
+  // Identical registries except rank 7's histogram bounds, which never
+  // match the rollup's.
   obs::FleetTelemetry telemetry(64);
-  for (int rank = 0; rank < 32; ++rank) {
+  for (int rank = 0; rank < 64; ++rank) {
     obs::Registry& r = telemetry.node_registry(rank);
     r.counter("polls_total", "h").inc(static_cast<std::uint64_t>(rank));
     r.histogram("lat_ms", "h", rank == 7 ? std::vector<double>{8.0} : std::vector<double>{1.0, 2.0})
         .observe(rank % 3);
   }
-  std::vector<obs::SnapshotValues> values(64);
-  std::vector<const obs::SnapshotValues*> ptrs(64);
+  std::vector<obs::SnapshotValues> values;
+  std::vector<const obs::SnapshotValues*> ptrs;
   const auto fold_checks = [&] {
-    for (int rank = 0; rank < 64; ++rank) {
-      telemetry.capture_into(rank, values[static_cast<std::size_t>(rank)]);
-      ptrs[static_cast<std::size_t>(rank)] = &values[static_cast<std::size_t>(rank)];
-    }
+    capture_all(telemetry, values, ptrs);
     const std::uint64_t before = telemetry.key_checks();
     telemetry.fold(ptrs);
     return telemetry.key_checks() - before;
   };
-  // Every node once; then rank 0, which met an empty board, and rank 7;
-  // then rank 7 alone, whose skipped merge leaves the board's keys as
+  // Every node once; then rank 0, which met empty rows, and rank 7;
+  // then rank 7 alone, whose skipped merge leaves the rollup's keys as
   // they were.
   EXPECT_EQ(fold_checks(), 64u);
   EXPECT_EQ(fold_checks(), 2u);
   EXPECT_EQ(fold_checks(), 1u);
   EXPECT_EQ(fold_checks(), 1u);
-  // A new series on rank 40 changes board 1's keys: rank 40 and every
-  // node after it on the board are compared at once, the whole board the
-  // fold after; then the 31 nodes without the series, which can never
-  // match the board again, stay on the keyed merge.
+  // A new series on rank 40 changes the rollup's keys: rank 40 and every
+  // node after it are compared at once, every node the fold after; then
+  // the 62 others without the series, which can never match the rollup
+  // again, stay on the keyed merge.
   telemetry.node_registry(40).gauge("fill", "h").set(1.0);
   EXPECT_EQ(fold_checks(), 1u + 24u);
-  EXPECT_EQ(fold_checks(), 1u + 32u);
-  EXPECT_EQ(fold_checks(), 1u + 31u);
+  EXPECT_EQ(fold_checks(), 1u + 63u);
+  EXPECT_EQ(fold_checks(), 1u + 62u);
+  EXPECT_EQ(obs::export_json(telemetry.fleet_rollup()),
+            obs::export_json(rank_order_merge(telemetry, values)));
+}
 
-  obs::Snapshot board;
-  for (int rank = 0; rank < 32; ++rank) {
-    obs::merge_snapshot(
-        board, telemetry.node_registry(rank).snapshot_of(values[static_cast<std::size_t>(rank)]));
+TEST(FleetTelemetry, EmptyRegistriesMatchAnEmptyRollup) {
+  std::vector<obs::SnapshotValues> values;
+  std::vector<const obs::SnapshotValues*> ptrs;
+  const auto fold_checks = [&](obs::FleetTelemetry& telemetry) {
+    capture_all(telemetry, values, ptrs);
+    const std::uint64_t before = telemetry.key_checks();
+    telemetry.fold(ptrs);
+    return telemetry.key_checks() - before;
+  };
+  // No node registers a series: each capture matches the empty rollup
+  // once and keeps that match.
+  obs::FleetTelemetry empty(4);
+  EXPECT_EQ(fold_checks(empty), 4u);
+  EXPECT_EQ(fold_checks(empty), 0u);
+  EXPECT_EQ(fold_checks(empty), 0u);
+  EXPECT_EQ(obs::export_json(empty.fleet_rollup()), obs::export_json(obs::Snapshot{}));
+
+  // Empty ranks before the first registration match the empty rollup on
+  // the first fold only; once rank 2's series joins it, their keys
+  // differ and they stay on the keyed merge, which adds nothing.
+  obs::FleetTelemetry mixed(4);
+  mixed.node_registry(2).counter("polls_total", "h").inc(2);
+  mixed.node_registry(3).counter("polls_total", "h").inc(3);
+  EXPECT_EQ(fold_checks(mixed), 4u);
+  EXPECT_EQ(fold_checks(mixed), 3u);
+  EXPECT_EQ(fold_checks(mixed), 2u);
+  EXPECT_EQ(mixed.merge_skipped(), 0u);
+  ASSERT_EQ(mixed.fleet_rollup().counters.size(), 1u);
+  EXPECT_EQ(mixed.fleet_rollup().counters[0].value, 5u);
+  EXPECT_EQ(obs::export_json(mixed.fleet_rollup()),
+            obs::export_json(rank_order_merge(mixed, values)));
+}
+
+TEST(FleetTelemetry, FoldSumsInRankOrderBitForBit) {
+  // More nodes than a 32-node board of a 32-board rack, with values that
+  // are not dyadic, so a different summation order (by board, then by
+  // rack) shows in the last bits.  (0.1 * rank alone sums to the same
+  // bits in both orders at this size.)
+  constexpr int kNodes = 1100;
+  obs::FleetTelemetry telemetry(kNodes);
+  for (int rank = 0; rank < kNodes; ++rank) {
+    obs::Registry& r = telemetry.node_registry(rank);
+    const double value = 0.1 * rank + 0.01;
+    r.gauge("fill", "h").set(value);
+    r.histogram("lat_ms", "h", {1.0, 2.0}).observe(value);
   }
-  EXPECT_EQ(obs::export_json(telemetry.board_rollup(0)), obs::export_json(board));
+  std::vector<obs::SnapshotValues> values;
+  std::vector<const obs::SnapshotValues*> ptrs;
+  capture_all(telemetry, values, ptrs);
+  telemetry.fold(ptrs);
+  telemetry.fold(ptrs);  // positional after the first fold, same sums
+
+  const obs::Snapshot fleet = rank_order_merge(telemetry, values);
+  const obs::Snapshot& rollup = telemetry.fleet_rollup();
+  ASSERT_EQ(rollup.gauges.size(), 1u);
+  ASSERT_EQ(rollup.histograms.size(), 1u);
+  EXPECT_EQ(std::bit_cast<std::uint64_t>(rollup.gauges[0].value),
+            std::bit_cast<std::uint64_t>(fleet.gauges[0].value));
+  EXPECT_EQ(std::bit_cast<std::uint64_t>(rollup.histograms[0].sum),
+            std::bit_cast<std::uint64_t>(fleet.histograms[0].sum));
+  EXPECT_EQ(rollup.histograms[0].count, static_cast<std::uint64_t>(kNodes));
+  EXPECT_EQ(rollup.histograms[0].bucket_counts, fleet.histograms[0].bucket_counts);
 }
 
 TEST(FleetTelemetry, RollupAndPostMortemAreByteIdenticalAcrossThreadCounts) {
@@ -461,7 +533,7 @@ TEST(FleetTelemetry, RollupAndPostMortemAreByteIdenticalAcrossThreadCounts) {
   }
 }
 
-TEST(FleetTelemetry, RollupTreeIsConsistent) {
+TEST(FleetTelemetry, FleetRollupIsTheRankOrderMergeOfNodeRegistries) {
   FleetConfig config;
   config.nodes = 12;
   config.capabilities = {moneq::Capability::kBgqEmon};
@@ -478,21 +550,23 @@ TEST(FleetTelemetry, RollupTreeIsConsistent) {
   ASSERT_TRUE(runner.run().is_ok());
   const obs::FleetTelemetry& telemetry = runner.telemetry();
 
-  // 12 nodes fit in one board of one rack, so every level of the tree
-  // rolls up to the same snapshot.
   EXPECT_EQ(telemetry.node_count(), 12);
-  EXPECT_EQ(telemetry.board_count(), 1);
-  EXPECT_EQ(telemetry.rack_count(), 1);
-  EXPECT_EQ(obs::export_json(telemetry.board_rollup(0)), obs::export_json(telemetry.fleet_rollup()));
-  EXPECT_EQ(obs::export_json(telemetry.rack_rollup(0)), obs::export_json(telemetry.fleet_rollup()));
   EXPECT_EQ(telemetry.folds(), 4u);  // one fold per epoch
   EXPECT_EQ(telemetry.merge_skipped(), 0u);
 
-  // The fleet counter is the sum of the per-node captures: per-node
+  // The last fold read the node registries as they stand after the run,
+  // so the rollup is their rank-order merge.
+  obs::Snapshot fleet;
+  for (int rank = 0; rank < telemetry.node_count(); ++rank) {
+    obs::merge_snapshot(fleet, telemetry.node_registry(rank).snapshot());
+  }
+  EXPECT_EQ(obs::export_json(telemetry.fleet_rollup()), obs::export_json(fleet));
+
+  // The fleet counter is the sum of the per-node registries: per-node
   // attribution survives the rollup.
   std::uint64_t node_sum = 0;
   for (int rank = 0; rank < telemetry.node_count(); ++rank) {
-    for (const auto& c : telemetry.node_capture(rank).counters) {
+    for (const auto& c : telemetry.node_registry(rank).snapshot().counters) {
       if (c.name == "envmon_profiler_polls_total") node_sum += c.value;
     }
   }
@@ -502,6 +576,30 @@ TEST(FleetTelemetry, RollupTreeIsConsistent) {
     if (c.name == "envmon_profiler_polls_total") fleet_value = c.value;
   }
   EXPECT_EQ(fleet_value, node_sum);
+}
+
+TEST(FleetTelemetry, FleetRunnerNodesFoldPositionallyAfterTheFirstFold) {
+  // Every node gets the same capabilities and registers all of its
+  // series at configure time, so only rank 0's first fold into empty
+  // rows is keyed: each node's keys are compared once, rank 0's twice.
+  // A lazily registered per-node series would add checks here.
+  FleetConfig config;
+  config.nodes = 40;
+  config.capabilities = {moneq::Capability::kBgqEmon, moneq::Capability::kRaplMsr,
+                         moneq::Capability::kNvml, moneq::Capability::kMicDaemon};
+  config.epoch = Duration::seconds(1);
+  config.horizon = Duration::seconds(3);
+  config.polling_interval = Duration::millis(500);
+  config.ingest = fleet::IngestMode::kNodePower;
+  config.database.max_insert_rate_per_second = 0.0;
+
+  FleetRunner runner;
+  ASSERT_TRUE(runner.configure(std::move(config)).is_ok());
+  ASSERT_TRUE(runner.run().is_ok());
+  const obs::FleetTelemetry& telemetry = runner.telemetry();
+  EXPECT_EQ(telemetry.folds(), 3u);
+  EXPECT_EQ(telemetry.key_checks(), 40u + 1u);
+  EXPECT_EQ(telemetry.merge_skipped(), 0u);
 }
 
 TEST(FleetTelemetry, SelfScrapeRowsAreQueryableAndBypassRateCeiling) {
